@@ -21,7 +21,7 @@ def check(job, rc, payload, cache):
             t = cache[spec["machine"]] = ref.load_machine(spec["machine"])
     try:
         return CHECKS[spec["kind"]](spec, t, rc, payload)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
         return "malformed output: %r" % (exc,)
 
 

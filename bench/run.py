@@ -2,7 +2,6 @@
 a machine through its dual.
 
     python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1
-    python3 bench/run.py --profile --workload NAME --seed N   # one pass, per-job times
 
 Run from the root of a checkout; mealyforge is imported from its ``src``.
 The last line of standard output is one JSON object with ``correct``,
@@ -100,15 +99,27 @@ def check_jobs(jobs):
             if job["rc"] not in VERDICTS:
                 reason = "exit %s %s" % (job["rc"], job["error"] or "")
             else:
-                with open(job["out"], encoding="utf-8") as fh:
-                    payload = json.load(fh)
-                reason = checks.check(job, job["rc"], payload, cache)
+                payload = read_output(job)
+                if payload is None:
+                    reason = "no readable output (exit %s)" % job["rc"]
+                else:
+                    reason = checks.check(job, job["rc"], payload, cache)
                 wrong += reason is not None
             if reason is not None:
                 failed += 1
                 if len(problems) < 5:
                     problems.append("%s %s: %s" % (job["id"], _label(job), reason))
     return failed, wrong, problems
+
+
+def read_output(job):
+    """The job's JSON output, or None when it is missing or does not parse
+    (the CLI writes no file when it reports an error)."""
+    try:
+        with open(job["out"], encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return None
 
 
 def _label(job):
@@ -123,18 +134,33 @@ def quantile(values, q):
 
 
 def speed_factors(result):
-    """Per pass, the factor that scales its times to the reference host:
-    the host's speed drifts by up to a third from one minute to the next,
-    and the calibration loop run before each job follows that drift."""
-    return {"p%d" % p["index"]: REFERENCE_CALIBRATION_S / p["calibration_s"]
-            for p in result["passes"]}
+    """The factors that scale times to the reference host: per job id, and
+    per pass (its jobs' factors weighted by their times).  The host's speed
+    drifts from one second to the next and by up to a third from one minute
+    to the next, so a job's factor comes from the calibration loops run
+    within four jobs of it: the loops before jobs i-3 .. i+4 of its pass."""
+    jobs = {}
+    for j in result["jobs"]:
+        jobs.setdefault(j["id"].split(".")[0], []).append(j)
+    factor = {}
+    for p in result["passes"]:
+        key = "p%d" % p["index"]
+        calibration = p["calibration_s"]
+        raw = scaled = 0.0
+        for i, j in enumerate(jobs[key]):
+            window = calibration[max(0, i - 3): i + 5]
+            factor[j["id"]] = REFERENCE_CALIBRATION_S / statistics.median(window)
+            raw += j["seconds"]
+            scaled += j["seconds"] * factor[j["id"]]
+        factor[key] = scaled / raw
+    return factor
 
 
 def end_to_end(result, setup):
     factor = speed_factors(result)
     untraced = [p["batch_s"] * factor["p%d" % p["index"]]
                 for p in result["passes"] if not p["traced"]]
-    latencies_ms = [1000 * j["seconds"] * factor[j["id"].split(".")[0]]
+    latencies_ms = [1000 * j["seconds"] * factor[j["id"]]
                     for j in result["jobs"] if not j["traced"]]
     return {
         "setup_s": (setup, "s"),
@@ -162,31 +188,12 @@ def per_layer(result):
     return out
 
 
-def profile(args, work):
-    """One untraced pass in this process, printing each job's time."""
-    import worker
-
-    mf = worker.import_mealyforge(ROOT)
-    p = workloads.build(ROOT, args.workload, args.seed, 0, work)
-    total = 0.0
-    for job in p.jobs:
-        rc, seconds, error = worker.run_job(mf, job)
-        job.update(rc=rc, seconds=seconds, error=error, traced=False)
-        total += seconds
-        print("%8.4f  rc=%s  %s" % (seconds, rc, _label(job)))
-    failed, wrong, problems = check_jobs(p.jobs)
-    print("%d jobs, %.3f s, %d failed" % (len(p.jobs), total, failed))
-    for line in problems:
-        print("  " + line)
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--profile", action="store_true")
     args = ap.parse_args(argv)
     if not os.path.isfile(os.path.join(ROOT, "src", "mealyforge", "__init__.py")):
         fail("no mealyforge sources under %s" % os.path.join(ROOT, "src"))
@@ -194,8 +201,6 @@ def main(argv=None):
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
     try:
-        if args.profile:
-            return profile(args, work)
         setup = setup_seconds(work, args.workload, args.seed) if not args.trace else None
         result = run_worker(work, args)
         started = perf_counter()

@@ -8,9 +8,10 @@ A job starts only after the previous one returns.  Passes over the job
 list repeat until ``--seconds`` have gone by; every pass is whole.  With
 ``--trace 1`` the passes alternate between untraced and traced, so that the
 tracing overhead can be read off.  Before each job, outside its timed
-region, the worker times a fixed calibration loop; ``run.py`` scales the
-pass's times by it.  The worker writes ``result.json`` to the work
-directory; outputs are checked afterwards, by ``run.py``.
+region, and once after the last job, the worker times a fixed calibration
+loop; ``run.py`` scales each job's time by the loops run near it.  The
+worker writes ``result.json`` to the work directory; outputs are checked
+afterwards, by ``run.py``.
 
 ``--probe`` times the set-up alone: importing mealyforge and parsing each
 given input file once.
@@ -157,8 +158,9 @@ def main(argv=None):
             rc, seconds, error = run_job(mf, job)
             job.update(rc=rc, seconds=seconds, error=error, traced=traced)
         batch = perf_counter() - begin - sum(calibration)
+        calibration.append(calibrate())  # the loop after the last job
         record = {"index": index, "traced": traced, "batch_s": batch, "jobs": len(p.jobs),
-                  "calibration_s": statistics.median(calibration)}
+                  "calibration_s": calibration}
         if traced:
             record["layers"] = tracer.uninstall().metrics()
         passes.append(record)
