@@ -2,7 +2,7 @@
 """Sweep orbit growth and finiteness diagnostics over machine files.
 
 For each machine file, prints a per-level table of the growth statistic
-chi (largest component of the level graph), the component size profile,
+chi (smallest component of the level graph), the component size profile,
 the dual-norm bound check, and the finiteness semi-decision.
 """
 

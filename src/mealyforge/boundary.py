@@ -26,9 +26,12 @@ from .levels import (
     word_name,
 )
 from .machines import (
+    DEFAULT_NODE_BUDGET,
+    SignedTables,
+    StateWordTable,
     act_output,
     act_transition,
-    action_signature,
+    action_signature,  # noqa: F401  (bench/tracing.py wraps it under this name)
     inverse_name,
     is_bireversible,
     is_invertible,
@@ -453,28 +456,57 @@ class TorsionWitness:
     period: int
 
 
-def torsion_search(machine, max_len, max_exp, budget=10**6):
+def torsion_search(machine, max_len, max_exp, budget=DEFAULT_NODE_BUDGET):
     """Scan short input words for torsion in the dual semigroup's action.
 
     For each word u the actions of u, uu, uuu, ... on the machine's states
     (through the coupled action) eventually repeat iff u generates a finite
     monogenic semigroup; the first repetition gives the minimal index and
-    period.  Returns the list of witnesses found.
+    period.  Returns the list of witnesses found, in word order.
+
+    The powers of all words share one state-word table of the dual, refined
+    once per exponent; a word drops out at its first repetition.  ``budget``
+    caps the table's nodes; ``BudgetExceeded.partial`` then holds the
+    witnesses found up to the last exponent completed, which is the whole
+    answer for that exponent.
     """
-    dual_machine = dual(machine)
-    witnesses = []
-    for length in range(1, max_len + 1):
-        for u in itertools.product(tuple(machine.alphabet), repeat=length):
-            seen = {}
-            for e in range(1, max_exp + 1):
-                sig = action_signature(dual_machine, u * e, budget=budget)
-                if sig in seen:
-                    witnesses.append(
-                        TorsionWitness(word=u, index=seen[sig], period=e - seen[sig])
-                    )
-                    break
-                seen[sig] = e
-    return witnesses
+    tables = SignedTables(dual(machine))
+    table = StateWordTable(tables, budget)
+    words = [
+        u
+        for length in range(1, max_len + 1)
+        for u in itertools.product(tuple(machine.alphabet), repeat=length)
+    ]
+    codes = [tables.codes(u) for u in words]
+    powers = [[] for _ in words]  # powers[j][e - 1] = node of words[j]^e
+    found = {}
+    open_words = list(range(len(words)))
+    for e in range(1, max_exp + 1):
+        if not open_words:
+            break
+        try:
+            for j in open_words:
+                last = powers[j][-1] if powers[j] else 0
+                powers[j].append(table.word(codes[j], start=last))
+            table.close()
+        except BudgetExceeded as exc:
+            partial = {
+                "max_len": max_len,
+                "max_exp": e - 1,
+                "witnesses": [found[j] for j in sorted(found)],
+            }
+            raise BudgetExceeded(str(exc), partial=partial) from None
+        cls = table.classes()
+        still_open = []
+        for j in open_words:
+            earlier = [cls[i] for i in powers[j][:-1]]
+            if cls[powers[j][-1]] in earlier:
+                index = earlier.index(cls[powers[j][-1]]) + 1
+                found[j] = TorsionWitness(word=words[j], index=index, period=e - index)
+            else:
+                still_open.append(j)
+        open_words = still_open
+    return [found[j] for j in sorted(found)]
 
 
 def torsion_bound_ell(machine, witness, order_budget=10**6):

@@ -3,7 +3,8 @@
 Exit codes: 0 success (and "yes" verdicts), 1 "no" verdicts, 2 exhausted
 searches, 3 budget exceeded (partial JSON on stdout), 64 usage or parse
 errors.  The MEALYFORGE_BUDGET environment variable overrides default
-state/vertex budgets; an explicit --budget flag beats both.
+state/vertex budgets; an explicit --budget flag beats both.  Budgets below 1
+are usage errors.
 """
 
 from __future__ import annotations
@@ -26,16 +27,33 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EX_USAGE)
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def resolve_budget(explicit):
+    """The --budget value, else MEALYFORGE_BUDGET, else None (the defaults)."""
     if explicit is not None:
         return explicit
     env = os.environ.get("MEALYFORGE_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError("MEALYFORGE_BUDGET must be an integer, got %r" % (env,))
-    return None
+    if not env:
+        return None
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError:
+        raise ParseError(
+            "MEALYFORGE_BUDGET must be an integer of at least 1, got %r" % (env,)
+        ) from None
+
+
+def _budget(args, default):
+    return default if args.budget is None else args.budget
 
 
 def _emit(args, text):
@@ -127,15 +145,13 @@ def cmd_power(args):
     base = None
     if args.base:
         base = _parse_state_word(args.base)
-    result = constructions.power(
-        m, args.k, base=base, budget=resolve_budget(args.budget)
-    )
+    result = constructions.power(m, args.k, base=base, budget=args.budget)
     return _machine_out(args, result.machine)
 
 
 def cmd_components(args):
     m = _load_machine(args.machine)
-    budget = resolve_budget(args.budget) or levels.DEFAULT_VERTEX_BUDGET
+    budget = _budget(args, levels.DEFAULT_VERTEX_BUDGET)
     if args.base:
         comp = levels.level_component(m, m.word(args.base), budget=budget)
         payload = {"base": comp.base, "size": comp.size, "vertices": list(comp.vertices)}
@@ -174,7 +190,7 @@ def cmd_schreier(args):
 
 def cmd_level_group(args):
     m = _load_machine(args.machine)
-    budget = resolve_budget(args.budget) or levels.DEFAULT_ORDER_BUDGET
+    budget = _budget(args, levels.DEFAULT_ORDER_BUDGET)
     report = levels.level_group(m, args.k, order_budget=budget)
     payload = {"level": args.k, "order": report.order}
     _emit_report(args, payload, "level %d group order: %d" % (args.k, report.order))
@@ -183,7 +199,7 @@ def cmd_level_group(args):
 
 def cmd_growth(args):
     m = _load_machine(args.machine)
-    budget = resolve_budget(args.budget) or levels.DEFAULT_VERTEX_BUDGET
+    budget = _budget(args, levels.DEFAULT_VERTEX_BUDGET)
     report = levels.growth_chi(m, args.levels, budget=budget)
     payload = {
         "levels": report.levels,
@@ -206,7 +222,7 @@ def cmd_growth(args):
 
 def cmd_decide_bounded(args):
     m = _load_machine(args.machine)
-    budget = resolve_budget(args.budget) or boundary.DEFAULT_VERTEX_BUDGET
+    budget = _budget(args, boundary.DEFAULT_VERTEX_BUDGET)
     verdict = boundary.decide_bounded_schreier(
         m, args.limit, horizon=args.horizon, budget=budget
     )
@@ -254,7 +270,9 @@ def cmd_relations(args):
 
 def cmd_free_check(args):
     m = _load_machine(args.machine)
-    result = levels.free_semigroup_check(m, args.max_len)
+    result = levels.free_semigroup_check(
+        m, args.max_len, budget=_budget(args, machines.DEFAULT_NODE_BUDGET)
+    )
     if result is None:
         payload = {"free_up_to": args.max_len, "collision": None}
         human = "no collisions: semigroup free up to length %d" % args.max_len
@@ -271,7 +289,10 @@ def cmd_free_check(args):
 
 def cmd_torsion(args):
     m = _load_machine(args.machine)
-    witnesses = boundary.torsion_search(m, args.max_len, args.max_exp)
+    witnesses = boundary.torsion_search(
+        m, args.max_len, args.max_exp,
+        budget=_budget(args, machines.DEFAULT_NODE_BUDGET),
+    )
     payload = {
         "witnesses": [
             {"word": w.word, "index": w.index, "period": w.period} for w in witnesses
@@ -331,7 +352,7 @@ def cmd_ledger(args):
     group = _load_group(args.group)
     ledger = cayley.relation_recursion(
         group, args.k_max, verify_depth=args.depth,
-        budget=resolve_budget(args.budget) or 10**7,
+        budget=_budget(args, 10**7),
     )
     payload = {
         "group_order": group.order,
@@ -367,8 +388,8 @@ def _add_global_options(parser, top_level):
                         help="seed for randomized subroutines (reserved)", **absent)
     parser.add_argument("--threads", type=int,
                         help="parallelism hint (advisory, currently ignored)", **absent)
-    parser.add_argument("--budget", type=int,
-                        help="state/vertex budget override", **absent)
+    parser.add_argument("--budget", type=_positive_int,
+                        help="state/vertex budget override (at least 1)", **absent)
 
 
 def build_parser():
@@ -476,6 +497,7 @@ def main(argv=None):
     if args.command == "components" and args.k is None and not args.base:
         parser.error("components needs -k or --base")
     try:
+        args.budget = resolve_budget(args.budget)
         return args.func(args)
     except BudgetExceeded as exc:
         payload = {"error": "budget exceeded", "detail": str(exc)}

@@ -17,12 +17,14 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, NotInvertible
 from .graphs import InverseAutomaton, basis, canonical_marked
 from .machines import (
+    DEFAULT_NODE_BUDGET,
     SignedTables,
+    StateWordTable,
     _run,
     act_output,
     act_pair,
     act_transition,
-    action_signature,
+    action_signature,  # noqa: F401  (bench/tracing.py wraps it under this name)
     inverse_name,
     parse_word,
     states_equivalent,
@@ -109,13 +111,6 @@ def _component_raw(tables, word, budget=DEFAULT_VERTEX_BUDGET):
                 order.append(w)
                 queue.append(w)
     return order, edges
-
-
-def _component_canon(tables, word, budget=DEFAULT_VERTEX_BUDGET):
-    """Canonical form of the marked orbit transducer of a word."""
-    _, edges = _component_raw(tables, word, budget)
-    gens = _gen_codes(tables)
-    return canonical_marked(lambda v, g: edges[(v, g)], word, gens)
 
 
 @dataclass
@@ -209,14 +204,15 @@ def orbit_oracle(machine, word, budget=DEFAULT_VERTEX_BUDGET):
                 order.append(w)
                 queue.append(w)
 
-    def name(w):
-        return word_name(machine.alphabet, tuple(machine.alphabet.index(x) for x in w))
-
+    names = {
+        w: word_name(machine.alphabet, tuple(machine.alphabet.index(x) for x in w))
+        for w in order
+    }
     named_edges = {
-        (name(v), g): (name(w), s) for (v, g), (w, s) in edges.items()
+        (names[v], g): (names[w], s) for (v, g), (w, s) in edges.items()
     }
     return TransducerComponent(
-        machine, name(start), tuple(name(w) for w in order), named_edges, gens
+        machine, names[start], tuple(names[w] for w in order), named_edges, gens
     )
 
 
@@ -229,10 +225,6 @@ class LevelGraph:
     vertices: tuple  # word names, lexicographic
     edges: dict  # (vertex, state name) -> (vertex, state name)
     generators: tuple
-
-    def input_automaton(self, base):
-        edges = {(v, g): w for (v, g), (w, _) in self.edges.items()}
-        return InverseAutomaton(self.vertices, self.generators, edges, base)
 
     def components(self):
         """Vertex sets of the weak components, each sorted."""
@@ -492,17 +484,35 @@ def semigroup_relation_exact(machine, u, v, budget=10**6):
     return states_equivalent(machine, u, v, budget=budget)
 
 
-def free_semigroup_check(machine, max_len, budget=10**6):
+def free_semigroup_check(machine, max_len, budget=DEFAULT_NODE_BUDGET):
     """Search positive state words up to max_len for an action collision.
 
     Returns None when all actions are pairwise distinct (the semigroup is
-    free up to that length), else the first colliding pair length-lex.
+    free up to that length), else the first colliding pair length-lex.  All
+    words share one state-word table, refined once per length; ``budget``
+    caps its nodes, and ``BudgetExceeded.partial`` then holds the largest
+    length proven free of collisions.
     """
-    seen = {}
+    table = StateWordTable(SignedTables(machine), budget)
+    done = []  # (word, node) of every length so far, length-lex
+    level = [((), 0)]
     for length in range(1, max_len + 1):
-        for w in itertools.product(machine.states, repeat=length):
-            sig = action_signature(machine, w, budget=budget)
-            if sig in seen:
-                return (seen[sig], w)
-            seen[sig] = w
+        try:
+            level = [
+                (w + (name,), table.node(i, q))
+                for w, i in level
+                for q, name in enumerate(machine.states)
+            ]
+            table.close()
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(
+                str(exc), partial={"free_up_to": length - 1, "collision": None}
+            ) from None
+        cls = table.classes()
+        first = {}
+        done += level
+        for w, i in done:
+            if cls[i] in first:
+                return (first[cls[i]], w)
+            first[cls[i]] = w
     return None

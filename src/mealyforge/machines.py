@@ -382,107 +382,173 @@ def states_equivalent(machine, u, v, budget=10**6):
     return True
 
 
+DEFAULT_NODE_BUDGET = 10**6
+
+
+def refine(targets, keys):
+    """Coarsest partition of nodes that respects ``keys`` and transitions.
+
+    ``targets[i][a]`` is the successor of node i on letter a.  Nodes start
+    in one block per distinct key, and two nodes end in the same block iff
+    every input word leads them to nodes with equal keys.  Hopcroft's
+    algorithm (1971), O(m n log n) for n nodes and m letters.  Returns the
+    block of each node, blocks numbered in the order of their first node.
+    """
+    n = len(targets)
+    if n == 0:
+        return []
+    m = len(targets[0])
+    preimages = [[[] for _ in range(n)] for _ in range(m)]
+    for i, row in enumerate(targets):
+        for a in range(m):
+            preimages[a][row[a]].append(i)
+    first = {}
+    block_of = [first.setdefault(key, len(first)) for key in keys]
+    blocks = [set() for _ in range(len(first))]
+    for i, b in enumerate(block_of):
+        blocks[b].add(i)
+    # Stability against all blocks but one implies it against the last.
+    largest = max(range(len(blocks)), key=lambda b: len(blocks[b]))
+    queued = [b != largest for b in range(len(blocks))]
+    work = [b for b in range(len(blocks)) if queued[b]]
+    while work:
+        s = work.pop()
+        queued[s] = False
+        splitter = list(blocks[s])
+        for pre in preimages:
+            hit = {}
+            for j in splitter:
+                for i in pre[j]:
+                    hit.setdefault(block_of[i], []).append(i)
+            for b, members in hit.items():
+                if len(members) == len(blocks[b]):
+                    continue
+                moved = set(members)
+                blocks[b] -= moved
+                new = len(blocks)
+                blocks.append(moved)
+                for i in members:
+                    block_of[i] = new
+                if queued[b] or len(moved) <= len(blocks[b]):
+                    queued.append(True)
+                    work.append(new)
+                else:
+                    queued.append(False)
+                    queued[b] = True
+                    work.append(b)
+    number = {}
+    return [number.setdefault(b, len(number)) for b in block_of]
+
+
+class StateWordTable:
+    """Interned signed state words of one machine, with one-letter rows.
+
+    Node 0 is the empty word; every other node is the pair (prefix node,
+    rightmost signed state code), so words that share a prefix share nodes.
+    The row of a node lists, for every letter a, the output letter and the
+    node reached when the word reads a: the rightmost state s outputs
+    b = lambda(s, a) and moves to delta(s, a), then the prefix reads b.
+    Rows are computed by ``close`` and kept.  ``budget`` caps the number of
+    distinct nodes other than the empty word.
+    """
+
+    def __init__(self, tables, budget=DEFAULT_NODE_BUDGET):
+        self.tables = tables
+        self.budget = budget
+        m = tables.n_letters
+        self.ids = {}
+        self.prefix = [0]
+        self.last = [None]
+        self.outs = [tuple(range(m))]
+        self.targets = [(0,) * m]
+
+    def __len__(self):
+        return len(self.prefix)
+
+    def node(self, prefix, code):
+        """The node of word ``prefix`` followed by state ``code``."""
+        key = (prefix, code)
+        i = self.ids.get(key)
+        if i is None:
+            i = len(self.prefix)
+            if i > self.budget:
+                raise BudgetExceeded(
+                    "state word table budget exhausted (%d nodes)" % self.budget
+                )
+            self.ids[key] = i
+            self.prefix.append(prefix)
+            self.last.append(code)
+        return i
+
+    def word(self, codes, start=0):
+        """The node of the word ``start`` followed by the state codes."""
+        i = start
+        for code in codes:
+            i = self.node(i, code)
+        return i
+
+    def close(self):
+        """Compute the rows of all nodes and of every node they reach.
+
+        A node's prefix always has a smaller number, so rows are filled in
+        node order and each finds its prefix's row ready.
+        """
+        delta, lam = self.tables.delta, self.tables.lam
+        letters = range(self.tables.n_letters)
+        outs, targets, node = self.outs, self.targets, self.node
+        i = len(outs)
+        while i < len(self.prefix):
+            p_outs, p_targets = outs[self.prefix[i]], targets[self.prefix[i]]
+            s = self.last[i]
+            d, lm = delta[s], lam[s]
+            row = tuple(node(p_targets[lm[a]], d[a]) for a in letters)
+            outs.append(tuple(p_outs[lm[a]] for a in letters))
+            targets.append(row)
+            i += 1
+
+    def classes(self):
+        """Action-equality class of every node (``close`` must come first)."""
+        return refine(self.targets, self.outs)
+
+
 def minimize(machine):
     """Quotient of the machine by action equality of single states."""
-    n = len(machine.states)
-    m = len(machine.alphabet)
-    block = {q: machine.outputs[q] for q in range(n)}
-    labels = {}
-    for q in range(n):
-        labels.setdefault(block[q], len(labels))
-    cls = [labels[block[q]] for q in range(n)]
-    while True:
-        sig = {}
-        new = [0] * n
-        for q in range(n):
-            key = (cls[q], tuple(cls[machine.transitions[q][a]] for a in range(m)))
-            if key not in sig:
-                sig[key] = len(sig)
-            new[q] = sig[key]
-        if new == cls:
-            break
-        cls = new
-    n_classes = max(cls) + 1
-    reps = [None] * n_classes
-    for q in range(n):
-        if reps[cls[q]] is None:
-            reps[cls[q]] = q
-    order = sorted(range(n_classes), key=lambda c: reps[c])
-    relabel = {c: i for i, c in enumerate(order)}
-    reps = [reps[c] for c in order]
-    trans = []
-    outs = []
-    for q in reps:
-        trans.append(tuple(relabel[cls[machine.transitions[q][a]]] for a in range(m)))
-        outs.append(tuple(machine.outputs[q]))
+    cls = refine(machine.transitions, machine.outputs)
+    reps = {}
+    for q, c in enumerate(cls):
+        reps.setdefault(c, q)
+    reps = [reps[c] for c in range(len(reps))]
+    trans = [tuple(cls[t] for t in machine.transitions[q]) for q in reps]
+    outs = [machine.outputs[q] for q in reps]
     return MealyMachine.from_tables(
         tuple(machine.states[q] for q in reps), machine.alphabet, trans, outs
     )
 
 
-def action_signature(machine, states, budget=10**6):
+def action_signature(machine, states, budget=DEFAULT_NODE_BUDGET):
     """Canonical fingerprint of the action of a state word.
 
-    Materializes the sub-machine reachable from the state word, minimizes it
-    and serializes it breadth-first from the initial class; two state words
-    act identically on all input words iff their signatures are equal.
+    Builds the state-word table of the word and everything it reaches,
+    refines it by action equality and serializes the quotient breadth-first
+    from the word's class; two state words act identically on all input
+    words iff their signatures are equal.  ``budget`` caps the table's nodes.
     """
     tables = SignedTables(machine)
-    start = tuple(tables.codes(states))
-    n_letters = tables.n_letters
-    nodes = {start: 0}
-    rows = []  # rows[i] = (outputs tuple, targets tuple)
+    table = StateWordTable(tables, budget)
+    start = table.word(tables.codes(states))
+    table.close()
+    cls = table.classes()
+    order = {cls[start]: 0}
     queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        outs = []
-        targets = []
-        for a in range(n_letters):
-            codes = list(node)
-            b = _run(tables, codes, [a])[0]
-            nxt = tuple(codes)
-            if nxt not in nodes:
-                if len(nodes) >= budget:
-                    raise BudgetExceeded("action signature node budget exhausted")
-                nodes[nxt] = len(nodes)
-                queue.append(nxt)
-            outs.append(b)
-            targets.append(nodes[nxt])
-        rows.append((tuple(outs), tuple(targets)))
-    # Moore refinement over the reachable nodes.
-    cls = {}
-    for i, (outs, _) in enumerate(rows):
-        cls.setdefault(outs, len(cls))
-    labels = [cls[rows[i][0]] for i in range(len(rows))]
-    while True:
-        sig = {}
-        new = [0] * len(rows)
-        for i in range(len(rows)):
-            key = (labels[i], tuple(labels[t] for t in rows[i][1]))
-            if key not in sig:
-                sig[key] = len(sig)
-            new[i] = sig[key]
-        if new == labels:
-            break
-        labels = new
-    # Canonical breadth-first serialization of the quotient from the start class.
-    rep = {}
-    for i in range(len(rows)):
-        rep.setdefault(labels[i], i)
-    order = {labels[0]: 0}
-    queue = deque([labels[0]])
     serial = []
     while queue:
-        c = queue.popleft()
-        i = rep[c]
-        outs, targets = rows[i]
+        i = queue.popleft()
         row = []
-        for a in range(n_letters):
-            t = labels[targets[a]]
-            if t not in order:
-                order[t] = len(order)
+        for b, t in zip(table.outs[i], table.targets[i]):
+            if cls[t] not in order:
+                order[cls[t]] = len(order)
                 queue.append(t)
-            row.append((outs[a], order[t]))
+            row.append((b, order[cls[t]]))
         serial.append(tuple(row))
     return tuple(serial)
 
@@ -495,8 +561,8 @@ def all_words(alphabet, length):
 def machine_isomorphic(m1, m2):
     """Equality of machines up to renaming states (alphabets must match).
 
-    Tries base-point-free canonical forms: minimally, checks all matchings of
-    states via backtracking; machines here are small enough for that.
+    Backtracks over matchings of states; a state may only map to a state of
+    the same action-equality class in the disjoint union of the machines.
     """
     if tuple(m1.alphabet) != tuple(m2.alphabet):
         return False
@@ -504,12 +570,15 @@ def machine_isomorphic(m1, m2):
         return False
     n = len(m1.states)
     m = len(m1.alphabet)
+    shifted = tuple(tuple(t + n for t in row) for row in m2.transitions)
+    cls = refine(m1.transitions + shifted, m1.outputs + m2.outputs)
+    if sorted(cls[:n]) != sorted(cls[n:]):
+        return False
+    candidates = [[c for c in range(n) if cls[n + c] == cls[q]] for q in range(n)]
 
     def consistent(mapping):
         for p, img in mapping.items():
             for a in range(m):
-                if m1.outputs[p][a] != m2.outputs[img][a]:
-                    return False
                 t = m1.transitions[p][a]
                 if t in mapping and mapping[t] != m2.transitions[img][a]:
                     return False
@@ -518,7 +587,7 @@ def machine_isomorphic(m1, m2):
     def extend(mapping, q):
         if q == n:
             return True
-        for cand in range(n):
+        for cand in candidates[q]:
             if cand in mapping.values():
                 continue
             mapping[q] = cand

@@ -1,8 +1,10 @@
 """Seeded random machine samplers and small oracles shared by test modules."""
 
+import itertools
 from collections import deque
 
 import mealyforge as mf
+from mealyforge.machines import SignedTables, _run
 
 
 def ball_membership(generators, cap):
@@ -79,3 +81,130 @@ def rand_bireversible(rng, n, m, tries=10000):
         if mf.is_bireversible(candidate):
             return candidate
     raise RuntimeError("no bireversible machine found in %d tries" % tries)
+
+
+# ---------------------------------------------------------------------------
+# Slow paths kept as oracles: one breadth-first search per state word and a
+# Moore refinement loop, as the library computed them before the shared
+# state-word table and Hopcroft refinement.
+
+
+def oracle_signature(machine, states, budget=10**6):
+    """Action signature of a state word from its own reachable sub-machine."""
+    tables = SignedTables(machine)
+    start = tuple(tables.codes(states))
+    n_letters = tables.n_letters
+    nodes = {start: 0}
+    rows = []  # rows[i] = (outputs tuple, targets tuple)
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        outs = []
+        targets = []
+        for a in range(n_letters):
+            codes = list(node)
+            b = _run(tables, codes, [a])[0]
+            nxt = tuple(codes)
+            if nxt not in nodes:
+                if len(nodes) >= budget:
+                    raise mf.BudgetExceeded("action signature node budget exhausted")
+                nodes[nxt] = len(nodes)
+                queue.append(nxt)
+            outs.append(b)
+            targets.append(nodes[nxt])
+        rows.append((tuple(outs), tuple(targets)))
+    cls = {}
+    for i, (outs, _) in enumerate(rows):
+        cls.setdefault(outs, len(cls))
+    labels = [cls[rows[i][0]] for i in range(len(rows))]
+    while True:
+        sig = {}
+        new = [0] * len(rows)
+        for i in range(len(rows)):
+            key = (labels[i], tuple(labels[t] for t in rows[i][1]))
+            if key not in sig:
+                sig[key] = len(sig)
+            new[i] = sig[key]
+        if new == labels:
+            break
+        labels = new
+    rep = {}
+    for i in range(len(rows)):
+        rep.setdefault(labels[i], i)
+    order = {labels[0]: 0}
+    queue = deque([labels[0]])
+    serial = []
+    while queue:
+        c = queue.popleft()
+        outs, targets = rows[rep[c]]
+        row = []
+        for a in range(n_letters):
+            t = labels[targets[a]]
+            if t not in order:
+                order[t] = len(order)
+                queue.append(t)
+            row.append((outs[a], order[t]))
+        serial.append(tuple(row))
+    return tuple(serial)
+
+
+def oracle_minimize(machine):
+    """Quotient by action equality of single states, by Moore refinement."""
+    n = len(machine.states)
+    m = len(machine.alphabet)
+    labels = {}
+    for q in range(n):
+        labels.setdefault(machine.outputs[q], len(labels))
+    cls = [labels[machine.outputs[q]] for q in range(n)]
+    while True:
+        sig = {}
+        new = [0] * n
+        for q in range(n):
+            key = (cls[q], tuple(cls[machine.transitions[q][a]] for a in range(m)))
+            if key not in sig:
+                sig[key] = len(sig)
+            new[q] = sig[key]
+        if new == cls:
+            break
+        cls = new
+    reps = {}
+    for q in range(n):
+        reps.setdefault(cls[q], q)
+    order = sorted(reps, key=reps.get)
+    relabel = {c: i for i, c in enumerate(order)}
+    trans = [
+        tuple(relabel[cls[machine.transitions[reps[c]][a]]] for a in range(m))
+        for c in order
+    ]
+    outs = [machine.outputs[reps[c]] for c in order]
+    return mf.MealyMachine.from_tables(
+        tuple(machine.states[reps[c]] for c in order), machine.alphabet, trans, outs
+    )
+
+
+def oracle_free_check(machine, max_len):
+    """First colliding pair of positive state words, one signature per word."""
+    seen = {}
+    for length in range(1, max_len + 1):
+        for w in itertools.product(machine.states, repeat=length):
+            sig = oracle_signature(machine, w)
+            if sig in seen:
+                return (seen[sig], w)
+            seen[sig] = w
+    return None
+
+
+def oracle_torsion(machine, max_len, max_exp):
+    """Torsion witnesses as (word, index, period), one signature per power."""
+    dual_machine = mf.dual(machine)
+    found = []
+    for length in range(1, max_len + 1):
+        for u in itertools.product(tuple(machine.alphabet), repeat=length):
+            seen = {}
+            for e in range(1, max_exp + 1):
+                sig = oracle_signature(dual_machine, u * e)
+                if sig in seen:
+                    found.append((u, seen[sig], e - seen[sig]))
+                    break
+                seen[sig] = e
+    return found

@@ -252,6 +252,49 @@ def test_torsion_command(capsys, tmp_path, z2):
     assert {"word": ["a"], "index": 1, "period": 1} in payload["witnesses"]
 
 
+def test_torsion_budget_exit(capsys, monkeypatch, grig_path):
+    # The powers of 0 and 1 up to the cube fill 14 nodes of the dual's table.
+    argv = ("torsion", grig_path, "--max-len", "1", "--max-exp", "3")
+    code, out, _ = run(capsys, "--budget", "10", *argv)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["error"] == "budget exceeded"
+    assert payload["partial"] == {"max_len": 1, "max_exp": 2, "witnesses": []}
+    code, _, _ = run(capsys, "--budget", "14", *argv)
+    assert code == 0
+    monkeypatch.setenv("MEALYFORGE_BUDGET", "13")
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["partial"]["max_exp"] == 2
+
+
+def test_free_check_budget_exit(capsys, monkeypatch, tmp_path, z2):
+    path = write_machine(tmp_path, mf.dual(mf.cayley_machine(z2)))
+    code, out, _ = run(capsys, "free-check", path, "--max-len", "4", "--budget", "10")
+    assert code == 3
+    assert json.loads(out)["partial"] == {"free_up_to": 2, "collision": None}
+    monkeypatch.setenv("MEALYFORGE_BUDGET", "10")
+    code, out, _ = run(capsys, "free-check", path, "--max-len", "4")
+    assert code == 3
+    code, _, _ = run(capsys, "free-check", path, "--max-len", "4", "--budget", "30")
+    assert code == 0
+
+
+def test_budget_below_one_is_a_usage_error(capsys, monkeypatch, odo_path):
+    for value in ("0", "-5"):
+        with pytest.raises(SystemExit) as err:
+            main(["--budget", value, "growth", odo_path, "-n", "2"])
+        assert err.value.code == 64
+        with pytest.raises(SystemExit) as err:
+            main(["growth", odo_path, "-n", "2", "--budget", value])
+        assert err.value.code == 64
+        monkeypatch.setenv("MEALYFORGE_BUDGET", value)
+        code, _, err_text = run(capsys, "growth", odo_path, "-n", "2")
+        assert code == 64
+        assert "MEALYFORGE_BUDGET" in err_text
+        monkeypatch.delenv("MEALYFORGE_BUDGET")
+
+
 def test_scan_periodic_command(capsys, grig_path):
     code, out, _ = run(
         capsys, "scan-periodic", grig_path, "--max-period", "1", "--max-gen-len", "1"
