@@ -44,8 +44,14 @@ def describe(path, levels, horizon):
         )
     verdict = mf.finiteness_semidecision(machine, horizon)
     print(
-        "finiteness semi-decision: %s (bound %s, level %s, %s)"
-        % (verdict.kind, verdict.bound, verdict.level, verdict.evidence)
+        "finiteness semi-decision: %s, %s (bound %s, level %s, %s)"
+        % (
+            verdict.kind,
+            "proven" if verdict.proven else "not proven",
+            verdict.bound,
+            verdict.level,
+            verdict.evidence,
+        )
     )
 
 

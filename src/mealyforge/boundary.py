@@ -5,6 +5,14 @@ right, with input and output labels both drawn from the signed states.  Two
 facts drive everything here: the component of an extension wu is determined
 up to marked isomorphism by the component of w together with the base
 machine, and components can only shrink or keep their size along prefixes.
+
+The first fact is ``levels.lift``.  Number the component of w breadth-first
+from w and write rows[v][g] = (t, s) when the signed state g takes vertex v
+to vertex t and reaches state s.  The vertices of the component of wa are
+the pairs (v, x) reachable from (0, a), and g takes (v, x) to
+(t, lambda(s, x)), reaching delta(s, x).  Numbered breadth-first from
+(0, a), these rows are the canonical marked form of the component of wa, so
+the searches below compare components as rows and never build words.
 """
 
 from __future__ import annotations
@@ -15,13 +23,17 @@ from dataclasses import dataclass
 
 from .constructions import dual
 from .errors import BudgetExceeded, NotInvertible
-from .graphs import canonical_marked, language_included
+from .graphs import (
+    canonical_marked,  # noqa: F401  (bench/tracing.py wraps it under this name)
+    language_included,
+)
 from .levels import (
     _component_raw,
-    _gen_codes,
+    _root_rows,
     _signed_tables,
     is_group_relation_up_to,
     level_group,
+    lift,
     norm,
     word_name,
 )
@@ -193,16 +205,23 @@ class FinitenessVerdict:
     bound: int | None = None  # for "finite": every component has at most this size
     level: int | None = None  # level at which the evidence appeared
     evidence: str = ""
+    proven: bool = False  # False for the heuristic "infinite" and for "unknown"
 
 
 def finiteness_semidecision(machine, horizon=6, budget=DEFAULT_VERTEX_BUDGET):
     """Search for finiteness or infiniteness evidence up to a level horizon.
 
-    Finite: at some level every word's marked component is isomorphic to the
-    component of its length-(k-1) prefix; components then stay isomorphic on
-    all deeper levels, so their sizes are bounded.  Infinite: either the
-    non-bireversibility certificate fires, or (heuristically) the smallest
-    component size grows strictly through the whole horizon.
+    Finite (proven): at some level every word's marked component is
+    isomorphic to the component of its length-(k-1) prefix; components then
+    stay isomorphic on all deeper levels, so their sizes are bounded.
+    Infinite: either the non-bireversibility certificate fires (proven), or
+    the smallest component size grows strictly through the whole horizon
+    (heuristic, ``proven=False``).
+
+    Each level keeps one marked component per class and lifts it by every
+    letter.  ``budget`` caps the vertices of the lifted components summed
+    over the search; ``BudgetExceeded.partial`` then holds the smallest
+    component size of every level completed.
     """
     cert = infiniteness_certificate(machine)
     if cert is not None:
@@ -210,37 +229,39 @@ def finiteness_semidecision(machine, horizon=6, budget=DEFAULT_VERTEX_BUDGET):
             kind="infinite",
             evidence="reversible but not bireversible: output letter %r (%s)"
             % (cert.output_letter, cert.reason),
+            proven=True,
         )
     tables = _signed_tables(machine)
-    m = len(machine.alphabet)
-    prev = {(): _component_canon(tables, ())}
+    letters = range(len(machine.alphabet))
+    classes = {_root_rows(tables)}
     spent = 0
     chi = []
     for k in range(1, horizon + 1):
-        canons = {}
-        sizes = []
+        lifted = set()
         stable = True
-        for w in itertools.product(range(m), repeat=k):
-            comp_vertices, comp_edges = _component_raw(tables, w, budget)
-            spent += len(comp_vertices)
-            if spent > budget:
-                raise BudgetExceeded("finiteness scan budget exhausted")
-            sizes.append(len(comp_vertices))
-            canon = canonical_marked(
-                lambda v, g: comp_edges[(v, g)], w, _gen_codes(tables)
-            )
-            canons[w] = canon
-            if canon != prev[w[:-1]]:
-                stable = False
+        for rows in classes:
+            for a in letters:
+                child = lift(rows, a, tables, cap=budget - spent)
+                if child is None:
+                    raise BudgetExceeded(
+                        "finiteness scan budget exhausted",
+                        partial={"levels": k - 1, "chi": chi},
+                    )
+                spent += len(child)
+                lifted.add(child)
+                if child != rows:
+                    stable = False
+        sizes = [len(rows) for rows in lifted]
         if stable:
             return FinitenessVerdict(
                 kind="finite",
                 bound=max(sizes),
                 level=k,
                 evidence="every level-%d component matches its prefix component" % k,
+                proven=True,
             )
         chi.append(min(sizes))
-        prev = canons
+        classes = lifted
     if len(chi) >= 2 and all(chi[i] < chi[i + 1] for i in range(len(chi) - 1)):
         return FinitenessVerdict(
             kind="infinite",
@@ -249,11 +270,6 @@ def finiteness_semidecision(machine, horizon=6, budget=DEFAULT_VERTEX_BUDGET):
             "(heuristic): %r" % (chi,),
         )
     return FinitenessVerdict(kind="unknown", evidence="no evidence within horizon")
-
-
-def _component_canon(tables, word, budget=DEFAULT_VERTEX_BUDGET):
-    _, edges = _component_raw(tables, word, budget)
-    return canonical_marked(lambda v, g: edges[(v, g)], word, _gen_codes(tables))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +329,7 @@ class BoundedVerdict:
 @dataclass
 class _ChainNode:
     word: tuple
-    canon: tuple
-    size: int
+    rows: tuple  # the marked component, as returned by lift
     parent: object
 
 
@@ -328,61 +343,63 @@ def decide_bounded_schreier(machine, limit, horizon=24, budget=DEFAULT_VERTEX_BU
     with an eventually-periodic witness; a level with no surviving words
     proves "no"; otherwise the search reports exhaustion together with a
     level bound that would settle the question.
+
+    Each node's component is lifted by every letter, and a lift stops as
+    soon as it exceeds the limit.  ``budget`` caps the vertices of all
+    components built, a stopped lift counting limit + 1, together with the
+    components of the whole level that a "no" verdict measures.
     """
     tables = _signed_tables(machine)
     m = len(machine.alphabet)
     letters = range(m)
     spent = 0
-    frontier = []
+    frontier = [_ChainNode((), _root_rows(tables), None)]
     chi_history = []
     for k in range(1, horizon + 1):
-        candidates = []
-        if k == 1:
-            for a in letters:
-                candidates.append(((a,), None))
-        else:
-            for node in frontier:
-                for a in letters:
-                    candidates.append((node.word + (a,), node))
         level_nodes = []
         level_canons = set()
         level_min_size = None
-        for word, parent in candidates:
-            vertices, edges = _component_raw(tables, word, budget)
-            spent += len(vertices)
-            if spent > budget:
-                raise BudgetExceeded(
-                    "bounded-orbit search budget exhausted",
-                    partial=BoundedVerdict(kind="exhausted", limit=limit, horizon=k - 1),
-                )
-            size = len(vertices)
-            if level_min_size is None or size < level_min_size:
-                level_min_size = size
-            if size > limit:
-                continue
-            canon = canonical_marked(
-                lambda v, g: edges[(v, g)], word, _gen_codes(tables)
-            )
-            anc = parent
-            while anc is not None:
-                if anc.canon == canon:
-                    alphabet = machine.alphabet
-                    return BoundedVerdict(
-                        kind="yes",
-                        limit=limit,
-                        prefix=word_name(alphabet, anc.word),
-                        period=word_name(alphabet, word[len(anc.word):]),
-                        component_size=size,
+        for parent in frontier:
+            for a in letters:
+                rows = lift(parent.rows, a, tables, cap=limit)
+                spent += limit + 1 if rows is None else len(rows)
+                if spent > budget:
+                    raise BudgetExceeded(
+                        "bounded-orbit search budget exhausted",
+                        partial=BoundedVerdict(kind="exhausted", limit=limit, horizon=k - 1),
                     )
-                anc = anc.parent
-            if canon in level_canons:
-                continue
-            level_canons.add(canon)
-            level_nodes.append(_ChainNode(word, canon, size, parent))
+                if rows is None:
+                    continue
+                size = len(rows)
+                if level_min_size is None or size < level_min_size:
+                    level_min_size = size
+                word = parent.word + (a,)
+                anc = parent
+                while anc.word:  # every ancestor but the empty word's node
+                    if anc.rows == rows:
+                        alphabet = machine.alphabet
+                        return BoundedVerdict(
+                            kind="yes",
+                            limit=limit,
+                            prefix=word_name(alphabet, anc.word),
+                            period=word_name(alphabet, word[len(anc.word):]),
+                            component_size=size,
+                        )
+                    anc = anc.parent
+                if rows in level_canons:
+                    continue
+                level_canons.add(rows)
+                level_nodes.append(_ChainNode(word, rows, parent))
         if not level_nodes:
             # No word of this length has a small component; the whole level
             # settles the question.
-            chi_here = _full_level_chi(tables, m, k, budget)
+            try:
+                chi_here = _full_level_chi(tables, m, k, budget - spent)
+            except BudgetExceeded:
+                raise BudgetExceeded(
+                    "bounded-orbit search budget exhausted",
+                    partial=BoundedVerdict(kind="no", limit=limit, level=k),
+                ) from None
             return BoundedVerdict(
                 kind="no", limit=limit, level=k, chi_at_level=chi_here
             )
@@ -396,7 +413,7 @@ def decide_bounded_schreier(machine, limit, horizon=24, budget=DEFAULT_VERTEX_BU
         else:
             break
     completion = (m * c**plateau) ** (m**2)
-    best = min(node.size for node in frontier)
+    best = min(len(node.rows) for node in frontier)
     return BoundedVerdict(
         kind="exhausted",
         limit=limit,
@@ -407,14 +424,16 @@ def decide_bounded_schreier(machine, limit, horizon=24, budget=DEFAULT_VERTEX_BU
 
 
 def _full_level_chi(tables, m, k, budget):
-    """Smallest component size over the entire level k."""
+    """Smallest component size over the entire level k; ``budget`` caps the
+    vertices of the components built."""
     best = None
     seen = set()
     for w in itertools.product(range(m), repeat=k):
         if w in seen:
             continue
         vertices, _ = _component_raw(tables, w, budget)
-        seen.update(v for v in vertices)
+        budget -= len(vertices)
+        seen.update(vertices)
         if best is None or len(vertices) < best:
             best = len(vertices)
     return best
@@ -427,20 +446,24 @@ def verify_bounded_witness(machine, verdict, periods=4):
         raise ValueError("only yes-verdicts carry a witness")
     tables = _signed_tables(machine)
     alphabet = machine.alphabet
-    prefix = parse_word(alphabet, verdict.prefix)
-    period = parse_word(alphabet, verdict.period)
-    base = tuple(alphabet.index(x) for x in prefix)
-    per = tuple(alphabet.index(x) for x in period)
-    reference = _component_canon(tables, base)
-    sizes = []
-    for t in range(periods + 1):
-        word = base + per * t
-        vertices, edges = _component_raw(tables, word)
-        canon = canonical_marked(lambda v, g: edges[(v, g)], word, _gen_codes(tables))
-        if canon != reference:
+    base = [alphabet.index(x) for x in parse_word(alphabet, verdict.prefix)]
+    per = [alphabet.index(x) for x in parse_word(alphabet, verdict.period)]
+    reference = _root_rows(tables)
+    for a in base:
+        reference = lift(reference, a, tables, cap=DEFAULT_VERTEX_BUDGET)
+        if reference is None:
+            raise BudgetExceeded("orbit vertex budget exhausted")
+    rows = reference
+    for _ in range(periods):
+        for a in per:
+            # Components never shrink along a word, so one that outgrows
+            # the witness cannot come back to it.
+            rows = lift(rows, a, tables, cap=len(reference))
+            if rows is None:
+                return False
+        if rows != reference:
             return False
-        sizes.append(len(vertices))
-    return all(s == sizes[0] for s in sizes)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -88,29 +88,79 @@ def _apply_state(tables, code, word):
     return tuple(out), s
 
 
+def _root_rows(tables):
+    """The component of the empty word: one vertex, every state a loop."""
+    return (tuple((0, g) for g in _gen_codes(tables)),)
+
+
+def _lift(rows, a, tables, cap=None):
+    """``lift`` that also returns the (vertex, letter) pair of each new
+    vertex, encoded as ``vertex * m + letter``, in discovery order."""
+    delta, lam = tables.delta, tables.lam
+    m = tables.n_letters
+    if cap is None:
+        cap = len(rows) * m
+    elif cap < 1:
+        return None
+    index = [-1] * (len(rows) * m)
+    index[a] = 0
+    pairs = [a]
+    out = []
+    for key in pairs:  # the list grows while it is read: a BFS queue
+        v, x = divmod(key, m)
+        row = []
+        for t, s in rows[v]:
+            key2 = t * m + lam[s][x]
+            j = index[key2]
+            if j < 0:
+                j = len(pairs)
+                if j >= cap:
+                    return None
+                index[key2] = j
+                pairs.append(key2)
+            row.append((j, delta[s][x]))
+        out.append(tuple(row))
+    return tuple(out), pairs
+
+
+def lift(rows, a, tables, cap=None):
+    """The marked component of ``w a`` from the marked component of ``w``.
+
+    A component is a tuple of rows; vertices are numbered in breadth-first
+    discovery order from the base, and ``rows[v][g] = (target, reached state
+    code)`` with labels in signed-code order.  The vertices of the lift are
+    the pairs (v, x) reachable from (0, a): state g takes (v, x) to
+    (t, lam[s][x]) reaching delta[s][x], where (t, s) = rows[v][g].  They
+    are numbered breadth-first from (0, a), so the result is the same tuple
+    as ``canonical_marked`` of the component of ``w a``.  Returns None as
+    soon as the component has more than ``cap`` vertices.
+    """
+    lifted = _lift(rows, a, tables, cap)
+    return None if lifted is None else lifted[0]
+
+
 def _component_raw(tables, word, budget=DEFAULT_VERTEX_BUDGET):
     """Breadth-first orbit of a word under all signed states.
 
     Returns (vertices in discovery order, edges) with edges mapping
-    (word, state code) to (image word, reached state code).
+    (word, state code) to (image word, reached state code).  Built by
+    lifting the empty word's component letter by letter.
     """
-    gens = _gen_codes(tables)
-    seen = {word}
-    order = [word]
-    edges = {}
-    queue = deque([word])
-    while queue:
-        v = queue.popleft()
-        for g in gens:
-            w, s = _apply_state(tables, g, v)
-            edges[(v, g)] = (w, s)
-            if w not in seen:
-                if len(seen) >= budget:
-                    raise BudgetExceeded("orbit vertex budget exhausted")
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
-    return order, edges
+    m = tables.n_letters
+    rows = _root_rows(tables)
+    words = [()]
+    for a in word:
+        lifted = _lift(rows, a, tables, budget)
+        if lifted is None:
+            raise BudgetExceeded("orbit vertex budget exhausted")
+        rows, pairs = lifted
+        words = [words[key // m] + (key % m,) for key in pairs]
+    edges = {
+        (words[v], g): (words[t], s)
+        for v, row in enumerate(rows)
+        for g, (t, s) in enumerate(row)
+    }
+    return words, edges
 
 
 @dataclass

@@ -4,6 +4,7 @@ import itertools
 from collections import deque
 
 import mealyforge as mf
+from mealyforge.levels import word_name
 from mealyforge.machines import SignedTables, _run
 
 
@@ -208,3 +209,152 @@ def oracle_torsion(machine, max_len, max_exp):
                     break
                 seen[sig] = e
     return found
+
+
+# ---------------------------------------------------------------------------
+# Slow paths kept as oracles for the component lift: one breadth-first
+# search per word, each edge running a state over the whole word, and a
+# separate canonical form per component, as the boundary searches computed
+# them before ``levels.lift``.
+
+
+def oracle_component_raw(tables, word, budget=10**7):
+    """(vertices in discovery order, edges) of the component of ``word``."""
+    gens = range(2 * tables.n)
+    seen = {word}
+    order = [word]
+    edges = {}
+    queue = deque([word])
+    while queue:
+        v = queue.popleft()
+        for g in gens:
+            out = []
+            s = g
+            for a in v:
+                out.append(tables.lam[s][a])
+                s = tables.delta[s][a]
+            w = tuple(out)
+            edges[(v, g)] = (w, s)
+            if w not in seen:
+                if len(seen) >= budget:
+                    raise mf.BudgetExceeded("orbit vertex budget exhausted")
+                seen.add(w)
+                order.append(w)
+                queue.append(w)
+    return order, edges
+
+
+def oracle_canon(tables, word):
+    """Canonical marked form of the component of ``word``."""
+    _, edges = oracle_component_raw(tables, word)
+    return mf.canonical_marked(
+        lambda v, g: edges[(v, g)], word, list(range(2 * tables.n))
+    )
+
+
+def oracle_finiteness(machine, horizon):
+    """Finiteness verdict from one component per word of every level."""
+    cert = mf.infiniteness_certificate(machine)
+    if cert is not None:
+        return mf.FinitenessVerdict(
+            kind="infinite",
+            evidence="reversible but not bireversible: output letter %r (%s)"
+            % (cert.output_letter, cert.reason),
+            proven=True,
+        )
+    tables = SignedTables(machine)
+    m = len(machine.alphabet)
+    prev = {(): oracle_canon(tables, ())}
+    chi = []
+    for k in range(1, horizon + 1):
+        canons = {}
+        sizes = []
+        stable = True
+        for w in itertools.product(range(m), repeat=k):
+            canon = oracle_canon(tables, w)
+            sizes.append(len(canon))
+            canons[w] = canon
+            if canon != prev[w[:-1]]:
+                stable = False
+        if stable:
+            return mf.FinitenessVerdict(
+                kind="finite",
+                bound=max(sizes),
+                level=k,
+                evidence="every level-%d component matches its prefix component" % k,
+                proven=True,
+            )
+        chi.append(min(sizes))
+        prev = canons
+    if len(chi) >= 2 and all(chi[i] < chi[i + 1] for i in range(len(chi) - 1)):
+        return mf.FinitenessVerdict(
+            kind="infinite",
+            level=horizon,
+            evidence="smallest component size grew strictly through the horizon "
+            "(heuristic): %r" % (chi,),
+        )
+    return mf.FinitenessVerdict(kind="unknown", evidence="no evidence within horizon")
+
+
+def oracle_decide_bounded(machine, limit, horizon):
+    """Bounded-component verdict from one component per candidate word."""
+    tables = SignedTables(machine)
+    m = len(machine.alphabet)
+    frontier = []  # (word, canon, size, parent)
+    chi_history = []
+    for k in range(1, horizon + 1):
+        if k == 1:
+            candidates = [((a,), None) for a in range(m)]
+        else:
+            candidates = [(node[0] + (a,), node) for node in frontier for a in range(m)]
+        level_nodes = []
+        level_canons = set()
+        level_min_size = None
+        for word, parent in candidates:
+            canon = oracle_canon(tables, word)
+            size = len(canon)
+            if level_min_size is None or size < level_min_size:
+                level_min_size = size
+            if size > limit:
+                continue
+            anc = parent
+            while anc is not None:
+                if anc[1] == canon:
+                    return mf.BoundedVerdict(
+                        kind="yes",
+                        limit=limit,
+                        prefix=word_name(machine.alphabet, anc[0]),
+                        period=word_name(machine.alphabet, word[len(anc[0]):]),
+                        component_size=size,
+                    )
+                anc = anc[3]
+            if canon in level_canons:
+                continue
+            level_canons.add(canon)
+            level_nodes.append((word, canon, size, parent))
+        if not level_nodes:
+            best = None
+            seen = set()
+            for w in itertools.product(range(m), repeat=k):
+                if w not in seen:
+                    vertices, _ = oracle_component_raw(tables, w)
+                    seen.update(vertices)
+                    if best is None or len(vertices) < best:
+                        best = len(vertices)
+            return mf.BoundedVerdict(kind="no", limit=limit, level=k, chi_at_level=best)
+        chi_history.append(level_min_size)
+        frontier = level_nodes
+    c = mf.norm(mf.dual(machine))
+    plateau = len(chi_history)
+    for i in range(len(chi_history) - 1, -1, -1):
+        if chi_history[i] == chi_history[-1]:
+            plateau = i + 1
+        else:
+            break
+    return mf.BoundedVerdict(
+        kind="exhausted",
+        limit=limit,
+        horizon=horizon,
+        best_size=min(node[2] for node in frontier),
+        completion_bound=(m * c**plateau) ** (m**2),
+    )

@@ -215,3 +215,80 @@ def test_periodic_stabilizer_scan(grigorchuk):
     assert ("0", ("b",)) not in table
     assert ("0", ("a",)) not in table
     assert table[("1", ("b^-1",))] is True
+
+
+def _truncated_odometer():
+    """c_i sends 0 to (e, 1) and 1 to (c_(i+1), 0); c7 and e act trivially,
+    so every state moves only the first seven letters of a word."""
+    states = tuple("c%d" % i for i in range(8)) + ("e",)
+    transitions = [[8, i + 1] for i in range(7)] + [[7, 7], [8, 8]]
+    outputs = [[1, 0]] * 7 + [[0, 1], [0, 1]]
+    return mf.MealyMachine.from_tables(states, ("0", "1"), transitions, outputs)
+
+
+def test_finiteness_heuristic_verdict_is_not_proven():
+    machine = _truncated_odometer()
+    verdict = mf.finiteness_semidecision(machine, horizon=6)
+    assert verdict.kind == "infinite" and verdict.level == 6
+    assert verdict.proven is False
+    verdict = mf.finiteness_semidecision(machine, horizon=9)
+    assert verdict.kind == "finite" and verdict.proven is True
+    assert verdict.level == 8 and verdict.bound == 128
+
+
+def test_finiteness_proven_flags(odometer, z2):
+    assert mf.finiteness_semidecision(mf.cayley_machine(z2)).proven is True
+    assert mf.finiteness_semidecision(odometer, horizon=1).proven is False
+
+
+def test_finiteness_budget_partial_is_chi_of_completed_levels(odometer):
+    # All 2^k marked components of the odometer's level k differ, so level
+    # k lifts 2^k components of 2^k vertices: 4, 16, 64, 256, 1024.
+    chi = [2, 4, 8, 16, 32]
+    for budget, levels in ((1, 0), (4, 1), (83, 2), (84, 3), (1363, 4)):
+        with pytest.raises(mf.BudgetExceeded) as info:
+            mf.finiteness_semidecision(odometer, horizon=5, budget=budget)
+        assert info.value.partial == {"levels": levels, "chi": chi[:levels]}
+    verdict = mf.finiteness_semidecision(odometer, horizon=5, budget=1364)
+    assert verdict.kind == "infinite" and str(chi) in verdict.evidence
+
+
+def test_decide_bounded_budget_counts_the_full_level(odometer):
+    # Level 1 builds two components of 2 vertices; level 2 lifts both nodes
+    # by both letters, and each lift stops past the limit, counting 4; the
+    # "no" verdict then measures the one level-2 component of 4 vertices.
+    no = mf.BoundedVerdict(kind="no", limit=3, level=2)
+    for budget, partial in (
+        (3, mf.BoundedVerdict(kind="exhausted", limit=3, horizon=0)),
+        (19, mf.BoundedVerdict(kind="exhausted", limit=3, horizon=1)),
+        (20, no),
+        (23, no),
+    ):
+        with pytest.raises(mf.BudgetExceeded) as info:
+            mf.decide_bounded_schreier(odometer, 3, budget=budget)
+        assert info.value.partial == partial
+    verdict = mf.decide_bounded_schreier(odometer, 3, budget=24)
+    assert verdict == mf.BoundedVerdict(kind="no", limit=3, level=2, chi_at_level=4)
+
+
+def test_decide_bounded_budget_counts_every_component_of_the_level():
+    # The odometer on the bit of each letter (bit, tag), the tag kept: its
+    # level 2 has four components of 4 vertices.  The search spends 8 on
+    # level 1 and 2 nodes x 4 letters x 4 on level 2; the "no" verdict then
+    # measures all 16 vertices of level 2.
+    letters = ("0", "1", "2", "3")  # letter 2 * tag + bit
+    transitions = [[1, 0, 1, 0], [1, 1, 1, 1]]
+    outputs = [[1, 0, 3, 2], [0, 1, 2, 3]]
+    machine = mf.MealyMachine.from_tables(("a", "e"), letters, transitions, outputs)
+    assert mf.growth_chi(machine, 2).component_sizes[-1] == [(4, 4)]
+    no = mf.BoundedVerdict(kind="no", limit=3, level=2)
+    for budget, partial in (
+        (39, mf.BoundedVerdict(kind="exhausted", limit=3, horizon=1)),
+        (40, no),
+        (55, no),
+    ):
+        with pytest.raises(mf.BudgetExceeded) as info:
+            mf.decide_bounded_schreier(machine, 3, budget=budget)
+        assert info.value.partial == partial
+    verdict = mf.decide_bounded_schreier(machine, 3, budget=56)
+    assert verdict == mf.BoundedVerdict(kind="no", limit=3, level=2, chi_at_level=4)
