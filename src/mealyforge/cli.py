@@ -157,16 +157,14 @@ def cmd_components(args):
         payload = {"base": comp.base, "size": comp.size, "vertices": list(comp.vertices)}
         human = "component of %s: %d vertices" % (comp.base, comp.size)
     else:
-        graph = levels.level_graph(m, args.k, budget=budget)
-        comps = graph.components()
-        sizes = sorted((len(c) for c in comps), reverse=True)
+        sizes = sorted(levels.component_sizes(m, args.k, budget=budget), reverse=True)
         payload = {
             "level": args.k,
-            "count": len(comps),
+            "count": len(sizes),
             "sizes": sizes,
             "smallest": min(sizes),
         }
-        human = "level %d: %d components, sizes %s" % (args.k, len(comps), sizes)
+        human = "level %d: %d components, sizes %s" % (args.k, len(sizes), sizes)
     _emit_report(args, payload, human)
     return 0
 
@@ -254,7 +252,14 @@ def cmd_decide_bounded(args):
 
 def cmd_relations(args):
     m = _load_machine(args.machine)
-    words = levels.find_relations(m, args.max_len, args.depth)
+    try:
+        words = levels.find_relations(
+            m, args.max_len, args.depth,
+            budget=_budget(args, machines.DEFAULT_NODE_BUDGET),
+        )
+    except BudgetExceeded as exc:
+        exc.partial["relations"] = [" ".join(w) for w in exc.partial["relations"]]
+        raise
     payload = {
         "max_len": args.max_len,
         "depth": args.depth,
@@ -384,10 +389,6 @@ def _add_global_options(parser, top_level):
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output", **true_absent)
     parser.add_argument("-o", "--output", help="write output to a file", **absent)
-    parser.add_argument("--seed", type=int,
-                        help="seed for randomized subroutines (reserved)", **absent)
-    parser.add_argument("--threads", type=int,
-                        help="parallelism hint (advisory, currently ignored)", **absent)
     parser.add_argument("--budget", type=_positive_int,
                         help="state/vertex budget override (at least 1)", **absent)
 
@@ -395,7 +396,7 @@ def _add_global_options(parser, top_level):
 def build_parser():
     parser = _Parser(prog="mealyforge", description=__doc__)
     _add_global_options(parser, top_level=True)
-    parser.set_defaults(output=None, seed=None, threads=None, budget=None)
+    parser.set_defaults(output=None, budget=None)
     common = _Parser(add_help=False)
     _add_global_options(common, top_level=False)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -6,11 +6,25 @@ k: every signed state q contributes an edge v --q|q'--> w where w is the
 transformed word and q' the signed state reached after the transformation.
 Reading a path therefore composes states so that the word acting is the
 reversed path label; helpers here convert back to the acting convention.
+
+Whole levels come from the wreath recursion (Nekrashevych, *Self-similar
+Groups*, 2005): a state q acts on a word ``a r`` as ``q(a r) = lam(q, a)
+delta(q, a)(r)``.  ``LevelAction`` codes a word of length k as the base-m
+integer of its letters, first letter most significant, so integer order is
+lexicographic order, and builds level k+1 from level k:
+
+    perm[q][a * m^k + r] = lam[q][a] * m^k + perm_k[delta[q][a]][r]
+
+The state reached follows the same rule, ``sec[q][a * m^k + r] =
+sec_k[delta[q][a]][r]``.  The same recursion decides relations: a state
+word acts trivially to depth d exactly when it fixes every letter and each
+of its sections acts trivially to depth d - 1.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -77,15 +91,91 @@ def _gen_names(tables):
     return tuple(tables.state_name(c) for c in _gen_codes(tables))
 
 
-def _apply_state(tables, code, word):
-    """Run one signed state over a word of letter indices."""
-    out = []
-    s = code
-    delta, lam = tables.delta, tables.lam
-    for a in word:
-        out.append(lam[s][a])
-        s = delta[s][a]
-    return tuple(out), s
+class LevelAction:
+    """The action of the signed states on the words of one level.
+
+    Words of length ``k`` are base-m integers, first letter most
+    significant; ``perm[q][x]`` is the image of word ``x`` under state code
+    ``q``.  ``n_codes`` limits the table to the first codes: ``tables.n``
+    keeps only the positive states, which suffice for orbits.
+    """
+
+    def __init__(self, tables, k=0, n_codes=None):
+        if k < 0:
+            raise ValueError("level must be non-negative, got %d" % k)
+        self.tables = tables
+        self.m = tables.n_letters
+        self.n_codes = 2 * tables.n if n_codes is None else n_codes
+        self.k = 0
+        self.size = 1  # m ** k words
+        self.perm = [[0] for _ in range(self.n_codes)]
+        for _ in range(k):
+            self.deepen()
+
+    def deepen(self):
+        """Move to level k + 1 by the wreath recursion."""
+        delta, lam = self.tables.delta, self.tables.lam
+        size, perm = self.size, self.perm
+        deeper = []
+        for q in range(self.n_codes):
+            row = []
+            for a in range(self.m):
+                b = lam[q][a] * size
+                below = perm[delta[q][a]]
+                row += [b + x for x in below] if b else below
+            deeper.append(row)
+        self.perm = deeper
+        self.size = size * self.m
+        self.k += 1
+
+    def sections(self):
+        """``sec[q][x]``: the state code reached after ``q`` reads word ``x``."""
+        delta = self.tables.delta
+        sec = [[q] for q in range(self.n_codes)]
+        for _ in range(self.k):
+            deeper = []
+            for q in range(self.n_codes):
+                row = []
+                for s in delta[q]:
+                    row += sec[s]
+                deeper.append(row)
+            sec = deeper
+        return sec
+
+    def orbits(self):
+        """Orbit labels of the words, numbered in order of their smallest
+        word, and the size of each orbit."""
+        perms = self.perm[: self.tables.n]  # inverses add no connections
+        label = [-1] * self.size
+        sizes = []
+        for start in range(self.size):
+            if label[start] >= 0:
+                continue
+            c = len(sizes)
+            label[start] = c
+            stack = [start]
+            size = 1
+            while stack:
+                v = stack.pop()
+                for p in perms:
+                    w = p[v]
+                    if label[w] < 0:
+                        label[w] = c
+                        stack.append(w)
+                        size += 1
+            sizes.append(size)
+        return label, sizes
+
+
+def _level_words(machine, k):
+    """Names of the level-k words in integer (lexicographic) order."""
+    alphabet = machine.alphabet
+    return [word_name(alphabet, w) for w in itertools.product(range(len(alphabet)), repeat=k)]
+
+
+def _check_level_budget(tables, k, budget):
+    if (tables.n_letters**k) * 2 * tables.n > budget:
+        raise BudgetExceeded("level graph budget exhausted")
 
 
 def _root_rows(tables):
@@ -207,8 +297,7 @@ def _component_named(machine, tables, order, edges):
     names = {w: word_name(machine.alphabet, w) for w in order}
     gens = _gen_names(tables)
     named_edges = {
-        (names[v], tables.state_name(g)): (names[w], tables.state_name(s))
-        for (v, g), (w, s) in edges.items()
+        (names[v], gens[g]): (names[w], gens[s]) for (v, g), (w, s) in edges.items()
     }
     return TransducerComponent(
         machine, names[order[0]], tuple(names[w] for w in order), named_edges, gens
@@ -277,24 +366,14 @@ class LevelGraph:
     generators: tuple
 
     def components(self):
-        """Vertex sets of the weak components, each sorted."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        parent = list(range(len(self.vertices)))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for (v, _), (w, _) in self.edges.items():
-            rv, rw = find(index[v]), find(index[w])
-            if rv != rw:
-                parent[rv] = rw
-        groups = {}
-        for v in self.vertices:
-            groups.setdefault(find(index[v]), []).append(v)
-        return [sorted(g) for g in groups.values()]
+        """Vertex sets of the weak components, each sorted, in order of
+        their smallest word; the orbits of the machine's level action."""
+        tables = _signed_tables(self.machine)
+        labels, sizes = LevelAction(tables, self.k, n_codes=tables.n).orbits()
+        groups = [[] for _ in sizes]
+        for v, c in zip(self.vertices, labels):
+            groups[c].append(v)
+        return [sorted(g) for g in groups]
 
     def component(self, word):
         """The marked component of one vertex, as a transducer component."""
@@ -304,24 +383,26 @@ class LevelGraph:
 def level_graph(machine, k, budget=DEFAULT_VERTEX_BUDGET):
     """Materialize the full level-k graph of an invertible machine."""
     tables = _signed_tables(machine)
-    m = len(machine.alphabet)
-    if (m**k) * 2 * tables.n > budget:
-        raise BudgetExceeded("level graph budget exhausted")
-    gens = _gen_codes(tables)
-    edges = {}
-    names = {}
-    for word in itertools.product(range(m), repeat=k):
-        names[word] = word_name(machine.alphabet, word)
-    for word in names:
-        for g in gens:
-            w, s = _apply_state(tables, g, word)
-            edges[(names[word], tables.state_name(g))] = (
-                names[w],
-                tables.state_name(s),
-            )
-    return LevelGraph(
-        machine, k, tuple(names[w] for w in sorted(names)), edges, _gen_names(tables)
-    )
+    _check_level_budget(tables, k, budget)
+    action = LevelAction(tables, k)
+    perm, sec = action.perm, action.sections()
+    names = _level_words(machine, k)
+    gens = _gen_names(tables)
+    edges = {
+        (name, gens[g]): (names[perm[g][v]], gens[sec[g][v]])
+        for v, name in enumerate(names)
+        for g in range(len(gens))
+    }
+    return LevelGraph(machine, k, tuple(names), edges, gens)
+
+
+def component_sizes(machine, k, budget=DEFAULT_VERTEX_BUDGET):
+    """Sizes of the components of level ``k``, in order of their smallest
+    word.  ``budget`` is in ``level_graph``'s unit, m^k words times 2n
+    signed states, though no graph is built."""
+    tables = _signed_tables(machine)
+    _check_level_budget(tables, k, budget)
+    return LevelAction(tables, k, n_codes=tables.n).orbits()[1]
 
 
 def schreier_stabilizer_generators(machine, word):
@@ -353,38 +434,22 @@ class GrowthReport:
 def growth_chi(machine, levels, budget=DEFAULT_VERTEX_BUDGET):
     """Smallest-component growth over levels 1..levels."""
     tables = _signed_tables(machine)
-    m = len(machine.alphabet)
+    # Positive states suffice for connectivity.
+    action = LevelAction(tables, n_codes=tables.n)
     spent = 0
     chi = []
     multisets = []
     for k in range(1, levels + 1):
-        count = m**k
-        spent += count
+        spent += action.size * action.m
         if spent > budget:
             raise BudgetExceeded(
                 "growth budget exhausted at level %d" % k,
                 partial=_growth_report(machine, chi, multisets),
             )
-        parent = list(range(count))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        words = list(itertools.product(range(m), repeat=k))
-        index = {w: i for i, w in enumerate(words)}
-        for w in words:
-            for g in range(tables.n):  # positive states suffice for connectivity
-                img, _ = _apply_state(tables, g, w)
-                a, b = find(index[w]), find(index[img])
-                if a != b:
-                    parent[a] = b
-        sizes = Counter(find(i) for i in range(count))
-        multiset = sorted(Counter(sizes.values()).items())
-        chi.append(min(sizes.values()))
-        multisets.append(multiset)
+        action.deepen()
+        sizes = action.orbits()[1]
+        chi.append(min(sizes))
+        multisets.append(sorted(Counter(sizes).items()))
     return _growth_report(machine, chi, multisets)
 
 
@@ -431,30 +496,25 @@ def level_group(machine, k, order_budget=DEFAULT_ORDER_BUDGET):
     identity vertex ends at the vertex of that word's action.
     """
     tables = _signed_tables(machine)
-    m = len(machine.alphabet)
-    words = list(itertools.product(range(m), repeat=k))
-    index = {w: i for i, w in enumerate(words)}
-    perms = {}
-    for g in _gen_codes(tables):
-        perms[tables.state_name(g)] = tuple(
-            index[_apply_state(tables, g, w)[0]] for w in words
-        )
-    identity = tuple(range(len(words)))
+    action = LevelAction(tables, k)
+    gen_names = _gen_names(tables)
+    perms = {name: tuple(row) for name, row in zip(gen_names, action.perm)}
+    identity = tuple(range(action.size))
     elements = {identity: 0}
     queue = deque([identity])
     edges = {}
-    gen_names = _gen_names(tables)
     while queue:
         pi = queue.popleft()
-        for gname in gen_names:
-            pg = perms[gname]
-            nxt = tuple(pi[pg[x]] for x in range(len(words)))
-            if nxt not in elements:
+        source = str(elements[pi])
+        for gname, pg in perms.items():
+            nxt = tuple(map(pi.__getitem__, pg))
+            j = elements.get(nxt)
+            if j is None:
                 if len(elements) >= order_budget:
                     raise BudgetExceeded("level group order budget exhausted")
-                elements[nxt] = len(elements)
+                j = elements[nxt] = len(elements)
                 queue.append(nxt)
-            edges[(str(elements[pi]), gname)] = str(elements[nxt])
+            edges[(source, gname)] = str(j)
     aut = InverseAutomaton(
         tuple(str(i) for i in range(len(elements))), gen_names, edges, "0"
     )
@@ -462,56 +522,128 @@ def level_group(machine, k, order_budget=DEFAULT_ORDER_BUDGET):
         order=len(elements),
         automaton=aut,
         generator_perms=perms,
-        words=tuple(word_name(machine.alphabet, w) for w in words),
+        words=tuple(_level_words(machine, k)),
     )
+
+
+class _SectionCheck:
+    """Whether signed state words act trivially to a depth, by sections.
+
+    A word acts trivially to depth d when it fixes every letter and each of
+    its sections acts trivially to depth d - 1.  ``trivial`` unrolls that
+    rule breadth-first over the distinct sections of a word, so each is
+    read once, at the shallowest depth it occurs.  The memo holds, for
+    every section word read, the largest depth proven trivial and the
+    smallest depth proven nontrivial; all words checked through one object
+    share it.  ``budget`` caps its entries.
+    """
+
+    def __init__(self, tables, budget=None):
+        self.delta, self.lam = tables.delta, tables.lam
+        self.m = tables.n_letters
+        self.budget = budget
+        self.memo = {}  # code tuple -> [depth proven trivial, depth proven nontrivial]
+
+    def _entry(self, key):
+        entry = self.memo.get(key)
+        if entry is None:
+            if self.budget is not None and len(self.memo) >= self.budget:
+                raise BudgetExceeded("relation check budget exhausted")
+            entry = self.memo[key] = [0, math.inf]
+        return entry
+
+    def _fail(self, key, depth):
+        entry = self._entry(key)
+        entry[1] = min(entry[1], depth)
+        return False
+
+    def _sections(self, key):
+        """The sections of ``key`` at every letter, or None when it moves
+        some letter."""
+        delta, lam = self.delta, self.lam
+        out = []
+        for a in range(self.m):
+            cur = a
+            sec = list(key)
+            for i in range(len(sec) - 1, -1, -1):
+                s = sec[i]
+                sec[i] = delta[s][cur]
+                cur = lam[s][cur]
+            if cur != a:
+                return None
+            out.append(tuple(sec))
+        return out
+
+    def trivial(self, key, depth):
+        """Whether the code tuple ``key`` fixes every word of length
+        ``depth``."""
+        memo = self.memo
+        level = [key]
+        seen = {key}
+        read = []  # (section word, depth it must act trivially to)
+        for j in range(depth):
+            rest = depth - j
+            deeper = []
+            for x in level:
+                known = memo.get(x)
+                if known is not None:
+                    if known[0] >= rest:
+                        continue
+                    if known[1] <= rest:
+                        return self._fail(key, j + known[1])
+                sections = self._sections(x)
+                if sections is None:
+                    self._fail(x, 1)
+                    return self._fail(key, j + 1)
+                entry = self._entry(x)
+                entry[0] = max(entry[0], 1)
+                read.append((entry, rest))
+                for y in sections:
+                    if y not in seen:
+                        seen.add(y)
+                        deeper.append(y)
+            level = deeper
+        for entry, rest in read:
+            entry[0] = max(entry[0], rest)
+        return True
 
 
 def is_group_relation_up_to(machine, state_word, depth):
     """Whether the state word acts as the identity on all words of the
     given length (hence on all shorter ones)."""
     tables = _signed_tables(machine)
-    codes = tables.codes(state_word)
-    m = len(machine.alphabet)
-    for u in itertools.product(range(m), repeat=depth):
-        out = []
-        cur_codes = list(codes)
-        for a in u:
-            cur = a
-            for i in range(len(cur_codes) - 1, -1, -1):
-                s = cur_codes[i]
-                cur_codes[i] = tables.delta[s][cur]
-                cur = tables.lam[s][cur]
-            out.append(cur)
-            if cur != a:
-                break
-        if tuple(out) != u[: len(out)]:
-            return False
-    return True
+    return _SectionCheck(tables).trivial(tuple(tables.codes(state_word)), depth)
 
 
-def find_relations(machine, max_len, depth):
+def find_relations(machine, max_len, depth, budget=DEFAULT_NODE_BUDGET):
     """Reduced signed state words up to max_len acting trivially to depth.
 
     Sorted length-lexicographically in generator declaration order (states
     first, then their inverses).  Witnesses relations of the group only up
-    to the chosen verification depth.
+    to the chosen verification depth.  All words share one memo of section
+    words; ``budget`` caps its entries, and ``BudgetExceeded.partial`` then
+    holds every relation of the lengths completed.
     """
     tables = _signed_tables(machine)
     gens = _gen_names(tables)
+    n, n2 = tables.n, 2 * tables.n
+    check = _SectionCheck(tables, budget)
     found = []
     frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                if w and w[-1] == inverse_name(g):
-                    continue
-                nxt.append(w + (g,))
-        for w in nxt:
-            if is_group_relation_up_to(machine, w, depth):
-                found.append(w)
-        frontier = nxt
-    return found
+    for length in range(1, max_len + 1):
+        frontier = [
+            w + (g,) for w in frontier for g in range(n2) if not w or g != (w[-1] + n) % n2
+        ]
+        try:
+            found += [w for w in frontier if check.trivial(w, depth)]
+        except BudgetExceeded as exc:
+            partial = {
+                "max_len": length - 1,
+                "depth": depth,
+                "relations": [tuple(gens[c] for c in w) for w in found],
+            }
+            raise BudgetExceeded(str(exc), partial=partial) from None
+    return [tuple(gens[c] for c in w) for w in found]
 
 
 def colliding_pair(machine, u, v):

@@ -1,10 +1,10 @@
 """Seeded random machine samplers and small oracles shared by test modules."""
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 import mealyforge as mf
-from mealyforge.levels import word_name
+from mealyforge.levels import _growth_report, word_name
 from mealyforge.machines import SignedTables, _run
 
 
@@ -358,3 +358,144 @@ def oracle_decide_bounded(machine, limit, horizon):
         best_size=min(node[2] for node in frontier),
         completion_bound=(m * c**plateau) ** (m**2),
     )
+
+
+# Slow paths kept as oracles for ``levels.LevelAction`` and the section
+# check: every state runs over every whole word, components come from a
+# union-find, and a relation is checked on all m^depth input words, as the
+# level functions computed them before the wreath recursion.
+
+
+def oracle_apply_state(tables, code, word):
+    """Run one signed state over a word of letter indices."""
+    out = []
+    s = code
+    for a in word:
+        out.append(tables.lam[s][a])
+        s = tables.delta[s][a]
+    return tuple(out), s
+
+
+def oracle_growth_chi(machine, levels):
+    """GrowthReport from a union-find over every word of every level."""
+    tables = SignedTables(machine)
+    m = len(machine.alphabet)
+    chi = []
+    multisets = []
+    for k in range(1, levels + 1):
+        words = list(itertools.product(range(m), repeat=k))
+        index = {w: i for i, w in enumerate(words)}
+        parent = list(range(len(words)))
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for w in words:
+            for g in range(tables.n):
+                img, _ = oracle_apply_state(tables, g, w)
+                a, b = find(index[w]), find(index[img])
+                if a != b:
+                    parent[a] = b
+        sizes = Counter(find(i) for i in range(len(words)))
+        chi.append(min(sizes.values()))
+        multisets.append(sorted(Counter(sizes.values()).items()))
+    return _growth_report(machine, chi, multisets)
+
+
+def oracle_level_graph(machine, k):
+    """(vertices, edges, components) of level k, named as ``level_graph``."""
+    tables = SignedTables(machine)
+    m = len(machine.alphabet)
+    words = list(itertools.product(range(m), repeat=k))
+    names = {w: word_name(machine.alphabet, w) for w in words}
+    edges = {}
+    for w in words:
+        for g in range(2 * tables.n):
+            img, s = oracle_apply_state(tables, g, w)
+            edges[(names[w], tables.state_name(g))] = (names[img], tables.state_name(s))
+    vertices = tuple(names[w] for w in words)
+    index = {v: i for i, v in enumerate(vertices)}
+    parent = list(range(len(vertices)))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for (v, _), (w, _) in edges.items():
+        rv, rw = find(index[v]), find(index[w])
+        if rv != rw:
+            parent[rv] = rw
+    groups = {}
+    for v in vertices:
+        groups.setdefault(find(index[v]), []).append(v)
+    return vertices, edges, [sorted(g) for g in groups.values()]
+
+
+def oracle_level_group(machine, k):
+    """(order, state name -> permutation of the level-k word indices, word
+    names in index order) of the group induced on level k."""
+    tables = SignedTables(machine)
+    words = list(itertools.product(range(len(machine.alphabet)), repeat=k))
+    index = {w: i for i, w in enumerate(words)}
+    perms = {
+        tables.state_name(g): tuple(
+            index[oracle_apply_state(tables, g, w)[0]] for w in words
+        )
+        for g in range(2 * tables.n)
+    }
+    identity = tuple(range(len(words)))
+    elements = {identity}
+    queue = deque([identity])
+    while queue:
+        pi = queue.popleft()
+        for pg in perms.values():
+            nxt = tuple(pi[pg[x]] for x in range(len(words)))
+            if nxt not in elements:
+                elements.add(nxt)
+                queue.append(nxt)
+    return len(elements), perms, tuple(word_name(machine.alphabet, w) for w in words)
+
+
+def oracle_is_relation(machine, state_word, depth):
+    """Whether the state word fixes every input word of length ``depth``."""
+    tables = SignedTables(machine)
+    codes = tables.codes(state_word)
+    for u in itertools.product(range(len(machine.alphabet)), repeat=depth):
+        cur_codes = list(codes)
+        for a in u:
+            cur = a
+            for i in range(len(cur_codes) - 1, -1, -1):
+                s = cur_codes[i]
+                cur_codes[i] = tables.delta[s][cur]
+                cur = tables.lam[s][cur]
+            if cur != a:
+                return False
+    return True
+
+
+def oracle_reduced_words(machine, max_len):
+    """Reduced signed state words of lengths 1..max_len, length-lex in
+    generator declaration order."""
+    gens = tuple(machine.states) + tuple(mf.inverse_name(s) for s in machine.states)
+    words = []
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [
+            w + (g,) for w in frontier for g in gens
+            if not (w and w[-1] == mf.inverse_name(g))
+        ]
+        words += frontier
+    return words
+
+
+def oracle_find_relations(machine, max_len, depth):
+    """Reduced words up to max_len fixing every input word of length depth."""
+    return [
+        w for w in oracle_reduced_words(machine, max_len)
+        if oracle_is_relation(machine, w, depth)
+    ]

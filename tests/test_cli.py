@@ -360,3 +360,34 @@ def test_usage_errors(odo_path):
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 64
+
+
+def test_relations_budget_exit(capsys, monkeypatch, odo_path):
+    # The relation check reads 16 distinct section words up to length 2 and
+    # 60 up to length 3.
+    argv = ("relations", odo_path, "--max-len", "3", "--depth", "4")
+    code, out, _ = run(capsys, "--budget", "20", *argv)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["error"] == "budget exceeded"
+    assert payload["partial"] == {
+        "max_len": 2,
+        "depth": 4,
+        "relations": ["e", "e^-1", "e e", "e^-1 e^-1"],
+    }
+    monkeypatch.setenv("MEALYFORGE_BUDGET", "59")
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    code, out, _ = run(capsys, "--json", "--budget", "60", *argv)
+    assert code == 0
+    assert json.loads(out)["count"] == 10
+
+
+def test_removed_flags_are_usage_errors(capsys, odo_path):
+    for flags in (("--threads", "2"), ("--seed", "1")):
+        with pytest.raises(SystemExit) as err:
+            main([*flags, "growth", odo_path, "-n", "2"])
+        assert err.value.code == 64
+        with pytest.raises(SystemExit) as err:
+            main(["growth", odo_path, "-n", "2", *flags])
+        assert err.value.code == 64
