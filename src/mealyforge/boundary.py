@@ -28,6 +28,7 @@ from .graphs import (
     language_included,
 )
 from .levels import (
+    DEFAULT_VERTEX_BUDGET,
     _component_raw,
     _root_rows,
     _signed_tables,
@@ -50,8 +51,6 @@ from .machines import (
     is_reversible,
     parse_word,
 )
-
-DEFAULT_VERTEX_BUDGET = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -125,30 +124,28 @@ class SwappingCycle:
     period_word: str  # concatenation of the cycle's vertex words
 
 
-def swapping_cycle(component, p1, p2, max_steps=10**4):
+def swapping_cycle(component, p1, p2):
     """Iterate the swapping step from a path p1 -> p2 until a vertex repeats.
 
     Requires the swapping inclusion from p1 to p2.  Each step reads the
-    previous output word as an input word; the visited vertices eventually
-    cycle, and concatenating the cycle's vertex words yields a word whose
-    periodic extensions have components of bounded size.
+    previous output word as an input word; every step reaches a vertex not
+    yet visited or returns, so the walk ends within one step more than the
+    component has vertices.  Concatenating the cycle's vertex words yields a
+    word whose periodic extensions have components of bounded size.
     """
     if not swapping_inclusion(component, p1, p2):
         raise ValueError("swapping inclusion fails; the iteration is not defined")
-    h_in, h_out = _path_between(component, p1, p2)
+    _, h = _path_between(component, p1, p2)
     visited = {p1: 0}
     sequence = [p1]
-    p, h = p2, h_out
-    for _ in range(max_steps):
-        if p in visited:
-            start = visited[p]
-            cycle = sequence[start:]
-            sep = "," if any("," in v for v in cycle) else ""
-            return SwappingCycle(cycle, sep.join(cycle) if sep else "".join(cycle))
+    p = p2
+    while p not in visited:
         visited[p] = len(sequence)
         sequence.append(p)
         p, h = _read_path(component, p, h)
-    raise BudgetExceeded("swapping cycle step budget exhausted")
+    cycle = sequence[visited[p]:]
+    sep = "," if any("," in v for v in cycle) else ""
+    return SwappingCycle(cycle, sep.join(cycle))
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +309,21 @@ def zeta(machine, n):
 
 @dataclass
 class BoundedVerdict:
-    """Outcome of the bounded-component decision procedure."""
+    """Outcome of the bounded-component decision procedure.
 
-    kind: str  # "yes" | "no" | "exhausted"
+    ``kind`` is "yes" or "no".  A search stopped by its budget carries
+    either an "exhausted" verdict with ``horizon`` the levels completed or a
+    "no" verdict without ``chi_at_level`` as ``BudgetExceeded.partial``.
+    """
+
+    kind: str  # "yes" | "no"; "exhausted" only as a budget partial
     limit: int
     prefix: str | None = None  # yes: word x with comp(x) recurring
     period: str | None = None  # yes: word y with comp(x (y^t)) all isomorphic
     component_size: int | None = None  # yes: the recurring component's size
     level: int | None = None  # no: first level with all components > limit
     chi_at_level: int | None = None  # no: smallest component size there
-    horizon: int | None = None  # exhausted: levels actually searched
-    best_size: int | None = None  # exhausted: smallest component at horizon
-    completion_bound: int | None = None  # exhausted: level sufficient to decide
+    horizon: int | None = None  # exhausted partial: levels completed
 
 
 @dataclass
@@ -333,7 +333,7 @@ class _ChainNode:
     parent: object
 
 
-def decide_bounded_schreier(machine, limit, horizon=24, budget=DEFAULT_VERTEX_BUDGET):
+def decide_bounded_schreier(machine, limit, horizon=None, budget=DEFAULT_VERTEX_BUDGET):
     """Decide whether some boundary point keeps components of size <= limit.
 
     Grows a tree of finite words whose components stay within the limit,
@@ -341,8 +341,13 @@ def decide_bounded_schreier(machine, limit, horizon=24, budget=DEFAULT_VERTEX_BU
     the component of an extension depends only on the marked component of
     the prefix).  A node isomorphic to one of its ancestors proves "yes"
     with an eventually-periodic witness; a level with no surviving words
-    proves "no"; otherwise the search reports exhaustion together with a
-    level bound that would settle the question.
+    proves "no".
+
+    The search always decides.  Below the root, every node it keeps ends a
+    chain of pairwise distinct marked classes of size <= limit, since a
+    repeat returns "yes" at once, and there are only finitely many such
+    classes.  So with N classes the frontier empties or a repeat appears by
+    level N + 1.  ``horizon`` is accepted for old callers and ignored.
 
     Each node's component is lifted by every letter, and a lift stops as
     soon as it exceeds the limit.  ``budget`` caps the vertices of all
@@ -354,11 +359,11 @@ def decide_bounded_schreier(machine, limit, horizon=24, budget=DEFAULT_VERTEX_BU
     letters = range(m)
     spent = 0
     frontier = [_ChainNode((), _root_rows(tables), None)]
-    chi_history = []
-    for k in range(1, horizon + 1):
+    k = 0
+    while frontier:
+        k += 1
         level_nodes = []
         level_canons = set()
-        level_min_size = None
         for parent in frontier:
             for a in letters:
                 rows = lift(parent.rows, a, tables, cap=limit)
@@ -370,9 +375,6 @@ def decide_bounded_schreier(machine, limit, horizon=24, budget=DEFAULT_VERTEX_BU
                     )
                 if rows is None:
                     continue
-                size = len(rows)
-                if level_min_size is None or size < level_min_size:
-                    level_min_size = size
                 word = parent.word + (a,)
                 anc = parent
                 while anc.word:  # every ancestor but the empty word's node
@@ -383,44 +385,24 @@ def decide_bounded_schreier(machine, limit, horizon=24, budget=DEFAULT_VERTEX_BU
                             limit=limit,
                             prefix=word_name(alphabet, anc.word),
                             period=word_name(alphabet, word[len(anc.word):]),
-                            component_size=size,
+                            component_size=len(rows),
                         )
                     anc = anc.parent
                 if rows in level_canons:
                     continue
                 level_canons.add(rows)
                 level_nodes.append(_ChainNode(word, rows, parent))
-        if not level_nodes:
-            # No word of this length has a small component; the whole level
-            # settles the question.
-            try:
-                chi_here = _full_level_chi(tables, m, k, budget - spent)
-            except BudgetExceeded:
-                raise BudgetExceeded(
-                    "bounded-orbit search budget exhausted",
-                    partial=BoundedVerdict(kind="no", limit=limit, level=k),
-                ) from None
-            return BoundedVerdict(
-                kind="no", limit=limit, level=k, chi_at_level=chi_here
-            )
-        chi_history.append(level_min_size)
         frontier = level_nodes
-    c = norm(dual(machine))
-    plateau = len(chi_history)
-    for i in range(len(chi_history) - 1, -1, -1):
-        if chi_history[i] == chi_history[-1]:
-            plateau = i + 1
-        else:
-            break
-    completion = (m * c**plateau) ** (m**2)
-    best = min(len(node.rows) for node in frontier)
-    return BoundedVerdict(
-        kind="exhausted",
-        limit=limit,
-        horizon=horizon,
-        best_size=best,
-        completion_bound=completion,
-    )
+    # No word of length k has a small component; the whole level settles
+    # the question.
+    try:
+        chi_here = _full_level_chi(tables, m, k, budget - spent)
+    except BudgetExceeded:
+        raise BudgetExceeded(
+            "bounded-orbit search budget exhausted",
+            partial=BoundedVerdict(kind="no", limit=limit, level=k),
+        ) from None
+    return BoundedVerdict(kind="no", limit=limit, level=k, chi_at_level=chi_here)
 
 
 def _full_level_chi(tables, m, k, budget):
@@ -440,19 +422,25 @@ def _full_level_chi(tables, m, k, budget):
 
 
 def verify_bounded_witness(machine, verdict, periods=4):
-    """Re-expand a "yes" verdict: the components of prefix + t copies of the
-    period must all match the witness component, for t = 0..periods."""
+    """Re-expand a "yes" verdict: the component of the prefix must have
+    ``component_size`` <= ``limit`` vertices, the period must be nonempty,
+    and the components of prefix + t copies of the period must all match
+    the prefix's, for t = 1..periods."""
     if verdict.kind != "yes":
         raise ValueError("only yes-verdicts carry a witness")
     tables = _signed_tables(machine)
     alphabet = machine.alphabet
     base = [alphabet.index(x) for x in parse_word(alphabet, verdict.prefix)]
     per = [alphabet.index(x) for x in parse_word(alphabet, verdict.period)]
+    if not per:
+        return False
     reference = _root_rows(tables)
     for a in base:
-        reference = lift(reference, a, tables, cap=DEFAULT_VERTEX_BUDGET)
+        reference = lift(reference, a, tables, cap=verdict.limit)
         if reference is None:
-            raise BudgetExceeded("orbit vertex budget exhausted")
+            return False
+    if len(reference) != verdict.component_size:
+        return False
     rows = reference
     for _ in range(periods):
         for a in per:

@@ -10,7 +10,6 @@ letter map is also supported.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .constructions import dual
@@ -23,6 +22,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .levels import (
+    LevelAction,
     is_group_relation_up_to,
     level_group,
     schreier_stabilizer_generators,
@@ -358,18 +358,12 @@ def palindromic_diagnostics(group, max_len=4, level_k=3):
     for k in range(1, level_k + 1):
         level_orders[k] = level_group(machine, k).order
     report1 = level_group(machine, 1)
-    stabs = {}
-    for i, letter in enumerate(report1.words):
-        orbit = {i}
-        queue = deque([i])
-        while queue:
-            x = queue.popleft()
-            for perm in report1.generator_perms.values():
-                y = perm[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        stabs[letter] = report1.order // len(orbit)
+    tables = SignedTables(machine)
+    label, sizes = LevelAction(tables, 1, n_codes=tables.n).orbits()
+    stabs = {
+        letter: report1.order // sizes[label[i]]
+        for i, letter in enumerate(report1.words)
+    }
     return PalindromicReport(
         order=group.order,
         max_len=max_len,

@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success (and "yes" verdicts), 1 "no" verdicts, 2 exhausted
-searches, 3 budget exceeded (partial JSON on stdout), 64 usage or parse
-errors.  The MEALYFORGE_BUDGET environment variable overrides default
-state/vertex budgets; an explicit --budget flag beats both.  Budgets below 1
-are usage errors.
+Exit codes: 0 success (and "yes" verdicts), 1 "no" verdicts, 3 budget
+exceeded (partial JSON on stdout), 64 usage or parse errors.  Code 2 is
+reserved; no subcommand returns it.  The MEALYFORGE_BUDGET environment
+variable overrides default state/vertex budgets; an explicit --budget flag
+beats both.  Budgets below 1 are usage errors.
 """
 
 from __future__ import annotations
@@ -220,10 +220,8 @@ def cmd_growth(args):
 
 def cmd_decide_bounded(args):
     m = _load_machine(args.machine)
-    budget = _budget(args, boundary.DEFAULT_VERTEX_BUDGET)
-    verdict = boundary.decide_bounded_schreier(
-        m, args.limit, horizon=args.horizon, budget=budget
-    )
+    budget = _budget(args, levels.DEFAULT_VERTEX_BUDGET)
+    verdict = boundary.decide_bounded_schreier(m, args.limit, budget=budget)
     payload = dict(vars(verdict))
     if verdict.kind == "yes":
         human = "yes: components of %s(%s)^n stay at %d vertices" % (
@@ -232,20 +230,13 @@ def cmd_decide_bounded(args):
             verdict.component_size,
         )
         code = 0
-    elif verdict.kind == "no":
+    else:
         human = "no: every level-%d component exceeds %d (smallest is %d)" % (
             verdict.level,
             args.limit,
             verdict.chi_at_level,
         )
         code = 1
-    else:
-        human = (
-            "exhausted at horizon %d: best component size %d; "
-            "deciding needs levels up to %d"
-            % (verdict.horizon, verdict.best_size, verdict.completion_bound)
-        )
-        code = 2
     _emit_report(args, payload, human)
     return code
 
@@ -454,7 +445,8 @@ def build_parser():
             help="decide whether some boundary point has bounded components")
     p.add_argument("machine")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=24)
+    p.add_argument("--horizon", type=int,
+                   help="ignored: the search runs until it decides")
 
     p = add("relations", cmd_relations, help="short state words acting trivially")
     p.add_argument("machine")

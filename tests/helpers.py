@@ -297,11 +297,11 @@ def oracle_finiteness(machine, horizon):
 
 
 def oracle_decide_bounded(machine, limit, horizon):
-    """Bounded-component verdict from one component per candidate word."""
+    """Bounded-component verdict from one component per candidate word, or
+    None when no level up to ``horizon`` decides."""
     tables = SignedTables(machine)
     m = len(machine.alphabet)
-    frontier = []  # (word, canon, size, parent)
-    chi_history = []
+    frontier = []  # (word, canon, parent)
     for k in range(1, horizon + 1):
         if k == 1:
             candidates = [((a,), None) for a in range(m)]
@@ -309,12 +309,9 @@ def oracle_decide_bounded(machine, limit, horizon):
             candidates = [(node[0] + (a,), node) for node in frontier for a in range(m)]
         level_nodes = []
         level_canons = set()
-        level_min_size = None
         for word, parent in candidates:
             canon = oracle_canon(tables, word)
             size = len(canon)
-            if level_min_size is None or size < level_min_size:
-                level_min_size = size
             if size > limit:
                 continue
             anc = parent
@@ -327,11 +324,11 @@ def oracle_decide_bounded(machine, limit, horizon):
                         period=word_name(machine.alphabet, word[len(anc[0]):]),
                         component_size=size,
                     )
-                anc = anc[3]
+                anc = anc[2]
             if canon in level_canons:
                 continue
             level_canons.add(canon)
-            level_nodes.append((word, canon, size, parent))
+            level_nodes.append((word, canon, parent))
         if not level_nodes:
             best = None
             seen = set()
@@ -342,22 +339,8 @@ def oracle_decide_bounded(machine, limit, horizon):
                     if best is None or len(vertices) < best:
                         best = len(vertices)
             return mf.BoundedVerdict(kind="no", limit=limit, level=k, chi_at_level=best)
-        chi_history.append(level_min_size)
         frontier = level_nodes
-    c = mf.norm(mf.dual(machine))
-    plateau = len(chi_history)
-    for i in range(len(chi_history) - 1, -1, -1):
-        if chi_history[i] == chi_history[-1]:
-            plateau = i + 1
-        else:
-            break
-    return mf.BoundedVerdict(
-        kind="exhausted",
-        limit=limit,
-        horizon=horizon,
-        best_size=min(node[2] for node in frontier),
-        completion_bound=(m * c**plateau) ** (m**2),
-    )
+    return None
 
 
 # Slow paths kept as oracles for ``levels.LevelAction`` and the section

@@ -146,12 +146,10 @@ def test_decide_bounded_identity(identity2):
     assert mf.verify_bounded_witness(identity2, verdict)
 
 
-def test_decide_bounded_exhausted(grigorchuk):
-    verdict = mf.decide_bounded_schreier(grigorchuk, 8, horizon=2)
-    assert verdict.kind == "exhausted"
-    assert verdict.horizon == 2
-    assert verdict.best_size == 4
-    assert verdict.completion_bound == 4096
+def test_decide_bounded_ignores_horizon(grigorchuk):
+    no = mf.BoundedVerdict(kind="no", limit=8, level=4, chi_at_level=16)
+    assert mf.decide_bounded_schreier(grigorchuk, 8) == no
+    assert mf.decide_bounded_schreier(grigorchuk, 8, horizon=2) == no
 
 
 def test_decide_bounded_budget(odometer):

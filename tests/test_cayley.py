@@ -185,6 +185,7 @@ def test_palindromic_diagnostics_nonabelian():
     assert report.level_orders == {1: 6, 2: 18}
     assert report.per_length[1] == (2, 2, 2)
     assert report.per_length[3] == (242, 242, 98)
+    assert report.letter_stabilizer_orders == dict.fromkeys("erstuv", 1)
 
 
 def test_identity_machine_group_check(z2, z3):

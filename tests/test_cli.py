@@ -186,8 +186,7 @@ def test_decide_bounded_exit_codes(capsys, tmp_path, odo_path, identity_path, gr
     code, out, _ = run(capsys, "decide-bounded", ci_dual, "--limit", "2")
     assert code == 0 and "stay at 2 vertices" in out
     code, out, _ = run(capsys, "decide-bounded", grig_path, "--limit", "8", "--horizon", "2")
-    assert code == 2 and "exhausted at horizon 2" in out
-    assert "up to 4096" in out
+    assert code == 1 and "no: every level-4 component exceeds 8 (smallest is 16)" in out
 
 
 def test_budget_flag_exit(capsys, odo_path):
