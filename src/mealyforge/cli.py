@@ -176,7 +176,7 @@ def cmd_schreier(args):
     payload = {"word": args.word, "orbit_size": comp.size}
     lines = ["orbit of %s: %d vertices" % (args.word, comp.size)]
     if args.stabilizer_basis:
-        basis_words = levels.schreier_stabilizer_generators(m, word)
+        basis_words = levels._stabilizer_generators(comp)
         payload["stabilizer_basis"] = [" ".join(w) for w in basis_words]
         payload["rank"] = len(basis_words)
         lines.append("stabilizer rank: %d" % len(basis_words))

@@ -5,6 +5,10 @@ v --x^-1--> u, and an inverse automaton keeps at most one x-edge out of each
 vertex.  Words are read along paths starting at the base vertex, and the
 language of a marked graph is the set of reduced words labelling loops at
 the base.
+
+Folding, cores and bases work on integer codes: label i of a label tuple
+has code i, and vertices are array rows indexed by code under one array
+union-find.  Names come back only in the ``InverseAutomaton`` returned.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
-from .machines import inverse_name, invert_word, reduce_word
+from .errors import BudgetExceeded, UnknownSymbol
+from .machines import inverse_name, is_inverse_name, reduce_word
 
 
 def signed_labels(positives):
@@ -87,127 +91,277 @@ def involutive_closure(edges):
     return out
 
 
+def find(parent, v):
+    """Root of ``v`` in the union-find forest ``parent``, halving its path."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _label_codes(labels):
+    """Code of each label (its position) and the code of its inverse."""
+    code = {x: c for c, x in enumerate(labels)}
+    missing = [inverse_name(x) for x in labels if inverse_name(x) not in code]
+    if missing:
+        raise UnknownSymbol("labels %r lack the inverse label %r" % (labels, missing[0]))
+    return code, [code[inverse_name(x)] for x in labels]
+
+
+def _numbered(vertices):
+    """Code of each vertex name, in order of first occurrence."""
+    return {v: i for i, v in enumerate(dict.fromkeys(vertices))}
+
+
+def _coded(code, word, labels):
+    try:
+        return [code[x] for x in word]
+    except KeyError as exc:
+        raise UnknownSymbol("label %r not in labels %r" % (exc.args[0], labels)) from None
+
+
+def _reduced(codes, inv):
+    """Free reduction of a coded word."""
+    out = []
+    for c in codes:
+        if out and out[-1] == inv[c]:
+            out.pop()
+        else:
+            out.append(c)
+    return out
+
+
+class _Folding:
+    """An integer-coded involutive graph, folded as edges arrive.
+
+    ``rows[v][c]`` is the target of the c-edge out of vertex v, or -1.  A
+    target may be any member of its class, so it is read through ``find``;
+    merged-away vertices lose their row.  Every link sets an edge and its
+    companion, and a link into an occupied slot identifies the two targets
+    (Stallings' fold), with union by size.
+    """
+
+    def __init__(self, inv, n_vertices):
+        self.inv = inv
+        self.rows = [[-1] * len(inv) for _ in range(n_vertices)]
+        self.parent = list(range(n_vertices))
+        self.size = [1] * n_vertices
+
+    def add_vertex(self):
+        v = len(self.rows)
+        self.rows.append([-1] * len(self.inv))
+        self.parent.append(v)
+        self.size.append(1)
+        return v
+
+    def link(self, u, c, v):
+        """Add the edge u --c--> v and its companion, folding clashes."""
+        parent, rows = self.parent, self.rows
+        u, v = find(parent, u), find(parent, v)
+        clashes = []
+        for a, x, b in ((u, c, v), (v, self.inv[c], u)):
+            t = rows[a][x]
+            if t < 0:
+                rows[a][x] = b
+            else:
+                clashes.append((t, b))
+        self.merge(clashes)
+
+    def merge(self, pairs):
+        """Identify each pair of vertices and every pair this forces."""
+        parent, size, rows = self.parent, self.size, self.rows
+        while pairs:
+            a, b = pairs.pop()
+            a, b = find(parent, a), find(parent, b)
+            if a == b:
+                continue
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+            big = rows[a]
+            for c, t in enumerate(rows[b]):
+                if t >= 0:
+                    if big[c] < 0:
+                        big[c] = t
+                    else:
+                        pairs.append((big[c], t))
+            rows[b] = None
+
+    def read_loop(self, base, word):
+        """Fold in a loop at ``base`` labelled by the reduced coded ``word``.
+
+        The word is read forward from the base and backward into it as far
+        as the graph allows; only the unread middle gets new vertices, so a
+        word that mostly reads through costs one pass over its letters.
+        """
+        parent, rows, inv = self.parent, self.rows, self.inv
+        base = find(parent, base)
+        i, j = 0, len(word)
+        u = v = base
+        while i < j:
+            t = rows[u][word[i]]
+            if t < 0:
+                break
+            if parent[t] != t:
+                t = rows[u][word[i]] = find(parent, t)
+            u = t
+            i += 1
+        while j > i:
+            t = rows[v][inv[word[j - 1]]]
+            if t < 0:
+                break
+            if parent[t] != t:
+                t = rows[v][inv[word[j - 1]]] = find(parent, t)
+            v = t
+            j -= 1
+        if i == j:
+            self.merge([(u, v)])
+            return
+        # A middle that is not cyclically reduced would claim the same slot
+        # of u twice, at its first and its last letter: grow a stem first.
+        while u == v and word[i] == inv[word[j - 1]]:
+            w = self.add_vertex()
+            rows[u][word[i]] = w
+            rows[w][inv[word[i]]] = u
+            u = v = w
+            i += 1
+            j -= 1
+        for c in word[i:j - 1]:
+            w = self.add_vertex()
+            rows[u][c] = w
+            rows[w][inv[c]] = u
+            u = w
+        c = word[j - 1]
+        rows[u][c] = v
+        rows[v][inv[c]] = u
+
+    def strip(self, base, positive):
+        """Alive flags after iteratively removing vertices of degree at
+        most one other than the base; ``positive`` lists one code of each
+        label pair, so each geometric edge is counted once."""
+        rows, n = self.rows, len(self.rows)
+        degree = [0] * n
+        incident = [[] for _ in range(n)]
+        live_edge = []
+        for v in range(n):
+            if rows[v] is None:
+                continue
+            for c in positive:
+                w = rows[v][c]
+                if w >= 0:
+                    degree[v] += 1
+                    degree[w] += 1
+                    incident[v].append((w, len(live_edge)))
+                    incident[w].append((v, len(live_edge)))
+                    live_edge.append(True)
+        alive = [row is not None for row in rows]
+        queue = [v for v in range(n) if alive[v] and degree[v] <= 1 and v != base]
+        while queue:
+            v = queue.pop()
+            if not alive[v]:
+                continue
+            alive[v] = False
+            for w, e in incident[v]:
+                if live_edge[e]:
+                    live_edge[e] = False
+                    degree[w] -= 1
+                    degree[v] -= 1
+                    if alive[w] and degree[w] <= 1 and w != base:
+                        queue.append(w)
+        return alive
+
+    def automaton(self, base, labels, alive=None):
+        """The graph as an ``InverseAutomaton``, renamed canonically: the
+        base's component breadth-first over the labels in declared order,
+        then any other classes in the order of their first vertex."""
+        parent, rows = self.parent, self.rows
+        for row in rows:
+            if row is not None:
+                for c, t in enumerate(row):
+                    if t >= 0 and parent[t] != t:
+                        row[c] = find(parent, t)
+        if alive is None:
+            alive = [row is not None for row in rows]
+        base = find(parent, base)
+        number = [-1] * len(rows)
+        number[base] = 0
+        order = [base]
+        for v in order:
+            for t in rows[v]:
+                if t >= 0 and alive[t] and number[t] < 0:
+                    number[t] = len(order)
+                    order.append(t)
+        for v in range(len(rows)):
+            r = find(parent, v)
+            if alive[r] and number[r] < 0:
+                number[r] = len(order)
+                order.append(r)
+        names = [str(i) for i in range(len(order))]
+        edges = {
+            (names[i], labels[c]): names[number[t]]
+            for i, v in enumerate(order)
+            for c, t in enumerate(rows[v])
+            if t >= 0 and alive[t]
+        }
+        return InverseAutomaton(tuple(names), tuple(labels), edges, names[0])
+
+
 def fold(vertices, edges, base, labels, order_seed=None):
     """Stallings folding: identify targets of equally-labelled edges.
 
     ``edges`` is an iterable of directed (u, label, v) triples; companions
-    are added automatically.  ``order_seed`` shuffles the processing order
-    (the folded automaton is independent of it up to renaming, and the
-    result is returned canonically renamed so equal inputs fold equal).
+    are added automatically, and a label outside ``labels`` raises
+    ``UnknownSymbol``.  ``order_seed`` shuffles the order in which edges
+    are folded in; the result is canonically renamed and does not depend
+    on it.
     """
-    vertices = list(vertices)
-    edge_list = sorted(involutive_closure(edges))
+    index = _numbered(vertices)
+    code, inv = _label_codes(labels)
+    edges = list(edges)
+    codes = _coded(code, [x for _, x, _ in edges], labels)
+    triples = [(index[u], c, index[v]) for (u, _, v), c in zip(edges, codes)]
     if order_seed is not None:
-        random.Random(order_seed).shuffle(edge_list)
-    parent = {v: v for v in vertices}
-    size = {v: 1 for v in vertices}
-    out = {v: {} for v in vertices}
+        random.Random(order_seed).shuffle(triples)
+    graph = _Folding(inv, len(index))
+    for u, c, v in triples:
+        graph.link(u, c, v)
+    return graph.automaton(index[base], labels)
 
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
 
-    def union(a, b):
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                continue
-            if size[rx] < size[ry]:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            size[rx] += size[ry]
-            small = out.pop(ry)
-            big = out[rx]
-            for lab, tgt in small.items():
-                if lab in big:
-                    stack.append((big[lab], tgt))
-                else:
-                    big[lab] = tgt
-
-    for u, x, v in edge_list:
-        while True:
-            ru = find(u)
-            d = out[ru]
-            if x in d:
-                if find(d[x]) == find(v):
-                    break
-                union(d[x], v)
-                continue
-            d[x] = v
-            break
-
-    roots = sorted({find(v) for v in vertices}, key=vertices.index)
-    edges_out = {}
-    for r in roots:
-        for x, tgt in out[r].items():
-            edges_out[(r, x)] = find(tgt)
-    aut = InverseAutomaton(tuple(roots), tuple(labels), edges_out, find(base))
-    return aut.canonical()
+def _positive_codes(labels):
+    return [c for c, x in enumerate(labels) if not is_inverse_name(x)]
 
 
 def core(aut):
     """Iteratively strip vertices of degree one other than the base."""
-    degree = {v: 0 for v in aut.vertices}
-    for v, x, w in aut.positive_edges():
-        degree[v] += 1
-        degree[w] += 1
-    alive = set(aut.vertices)
-    queue = deque(v for v in aut.vertices if degree[v] <= 1 and v != aut.base)
-    incident = {v: [] for v in aut.vertices}
-    for v, x, w in aut.positive_edges():
-        incident[v].append((w, (v, x, w)))
-        incident[w].append((v, (v, x, w)))
-    dead_edges = set()
-    while queue:
-        v = queue.popleft()
-        if v not in alive or degree[v] > 1 or v == aut.base:
-            continue
-        alive.discard(v)
-        for other, e in incident[v]:
-            if e in dead_edges:
-                continue
-            dead_edges.add(e)
-            degree[other] -= 1
-            degree[v] -= 1
-            if other in alive and degree[other] <= 1 and other != aut.base:
-                queue.append(other)
-    edges = {
-        (v, x): w
-        for (v, x), w in aut.edges.items()
-        if v in alive and w in alive
-        and (v, x, w) not in dead_edges
-        and (w, inverse_name(x), v) not in dead_edges
-    }
-    vertices = tuple(v for v in aut.vertices if v in alive)
-    return InverseAutomaton(vertices, aut.labels, edges, aut.base).canonical()
-
-
-def flower(generators):
-    """Wedge of subdivided loops at a base vertex, one per generator word."""
-    vertices = ["*"]
-    edges = []
-    for i, word in enumerate(generators):
-        word = reduce_word(tuple(word))
-        prev = "*"
-        for j, x in enumerate(word):
-            nxt = "*" if j == len(word) - 1 else "p%d_%d" % (i, j)
-            if nxt != "*":
-                vertices.append(nxt)
-            edges.append((prev, x, nxt))
-            prev = nxt
-    return vertices, edges, "*"
+    index = _numbered(aut.vertices)
+    code, inv = _label_codes(aut.labels)
+    codes = _coded(code, [x for _, x in aut.edges], aut.labels)
+    graph = _Folding(inv, len(index))
+    for ((v, _), w), c in zip(aut.edges.items(), codes):
+        graph.rows[index[v]][c] = index[w]
+    base = index[aut.base]
+    return graph.automaton(base, aut.labels, graph.strip(base, _positive_codes(aut.labels)))
 
 
 def stallings_automaton(generators, labels, order_seed=None):
-    """Folded core automaton of the subgroup generated by the given words."""
-    vertices, edges, base = flower(generators)
-    return core(fold(vertices, edges, base, labels, order_seed=order_seed))
+    """Folded core automaton of the subgroup generated by the given words.
+
+    Each word is freely reduced and folded in as a loop at the base; a
+    label outside ``labels`` raises ``UnknownSymbol``.  Every vertex then
+    lies inside a reduced loop at the base, so the folded graph is already
+    its own core.  ``order_seed`` shuffles the order of the words, which
+    does not change the result.
+    """
+    code, inv = _label_codes(labels)
+    words = [_reduced(_coded(code, word, labels), inv) for word in generators]
+    if order_seed is not None:
+        random.Random(order_seed).shuffle(words)
+    graph = _Folding(inv, 1)
+    for word in words:
+        graph.read_loop(0, word)
+    return graph.automaton(0, labels)
 
 
 def membership(aut, word):
@@ -218,29 +372,47 @@ def membership(aut, word):
 def basis(aut):
     """Free basis of the loop language, from a breadth-first spanning tree.
 
-    Returns one reduced word per geometric edge outside the tree; the count
-    equals (number of geometric edges) - (number of vertices) + 1.
+    Returns one reduced word per geometric edge outside the tree, taken in
+    breadth-first order of the source vertex and then by label name; the
+    count equals (number of geometric edges) - (number of vertices) + 1.
     """
-    tree = set()
-    path = {aut.base: ()}
+    labels, edges = aut.labels, aut.edges
+    code, inv = _label_codes(labels)
+    foreign = {x for _, x in edges} - code.keys()
+    if foreign:
+        raise UnknownSymbol("label %r not in labels %r" % (min(foreign), labels))
+    number = {aut.base: 0}
     order = [aut.base]
-    queue = deque([aut.base])
-    while queue:
-        v = queue.popleft()
-        for x in aut.labels:
-            w = aut.edges.get((v, x))
-            if w is not None and w not in path:
-                path[w] = path[v] + (x,)
-                tree.add((v, x, w))
-                tree.add((w, inverse_name(x), v))
+    rows = []
+    tree = [(-1, -1)]  # tree[j] = (parent, code) of vertex j's discovery edge
+    path, back = [()], [()]  # tree path to each vertex, and its inverse
+    for i, v in enumerate(order):
+        row = []
+        for c, x in enumerate(labels):
+            w = edges.get((v, x))
+            if w is None:
+                row.append(-1)
+                continue
+            if w not in number:
+                number[w] = len(order)
                 order.append(w)
-                queue.append(w)
-    rank = {v: i for i, v in enumerate(order)}
+                tree.append((i, c))
+                path.append(path[i] + (c,))
+                back.append((inv[c],) + back[i])
+            row.append(number[w])
+        rows.append(row)
+    positive = sorted(_positive_codes(labels), key=labels.__getitem__)
     words = []
-    for v, x, w in sorted(aut.positive_edges(), key=lambda e: (rank[e[0]], e[1])):
-        if (v, x, w) in tree:
-            continue
-        words.append(reduce_word(path[v] + (x,) + invert_word(path[w])))
+    for i, row in enumerate(rows):
+        for c in positive:
+            j = row[c]
+            if j < 0 or tree[j] == (i, c) or tree[i] == (j, inv[c]):
+                continue
+            word = path[i] + (c,) + back[j]
+            # Tree paths are reduced, so only the letters around c can cancel.
+            if tree[i][1] == inv[c] or tree[j][1] == c:
+                word = _reduced(word, inv)
+            words.append(tuple(map(labels.__getitem__, word)))
     return words
 
 

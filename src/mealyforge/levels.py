@@ -29,7 +29,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotInvertible
-from .graphs import InverseAutomaton, basis, canonical_marked
+from .graphs import InverseAutomaton, basis, canonical_marked, find
 from .machines import (
     DEFAULT_NODE_BUDGET,
     SignedTables,
@@ -60,19 +60,10 @@ def norm(machine):
     """Largest weak component of the machine's underlying digraph."""
     n = len(machine.states)
     parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for q in range(n):
         for t in machine.transitions[q]:
-            rq, rt = find(q), find(t)
-            if rq != rt:
-                parent[rq] = rt
-    sizes = Counter(find(q) for q in range(n))
+            parent[find(parent, q)] = find(parent, t)
+    sizes = Counter(find(parent, q) for q in range(n))
     return max(sizes.values())
 
 
@@ -412,9 +403,11 @@ def schreier_stabilizer_generators(machine, word):
     reverses each word, converting path reading into the acting convention:
     every returned state word w satisfies act_output(machine, w, word) == word.
     """
-    comp = level_component(machine, word)
-    aut = comp.input_automaton()
-    return [tuple(reversed(b)) for b in basis(aut)]
+    return _stabilizer_generators(level_component(machine, word))
+
+
+def _stabilizer_generators(comp):
+    return [tuple(reversed(b)) for b in basis(comp.input_automaton())]
 
 
 @dataclass

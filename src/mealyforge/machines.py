@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BudgetExceeded,
@@ -85,10 +85,12 @@ class Alphabet:
     """An immutable, ordered set of symbol names."""
 
     symbols: tuple
+    _index: dict = field(init=False, repr=False, compare=False)  # symbol -> index
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
-        if len(set(self.symbols)) != len(self.symbols):
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
+        if len(self._index) != len(self.symbols):
             raise UnknownSymbol("duplicate symbols in alphabet: %r" % (self.symbols,))
         for s in self.symbols:
             if not s or any(c.isspace() for c in s) or "#" in s or ":" in s:
@@ -96,8 +98,8 @@ class Alphabet:
 
     def index(self, symbol):
         try:
-            return self.symbols.index(symbol)
-        except ValueError:
+            return self._index[symbol]
+        except KeyError:
             raise UnknownSymbol("symbol %r not in alphabet %r" % (symbol, self.symbols)) from None
 
     def __len__(self):
@@ -215,10 +217,16 @@ def parse_word(alphabet, text):
         word = tuple(parts)
     else:
         word = tuple(text)
+    missing = set(word).difference(alphabet)
     for x in word:
-        if x not in alphabet:
+        if x in missing:
             raise UnknownSymbol("letter %r not in alphabet %r" % (x, tuple(alphabet)))
     return word
+
+
+def _letter_indices(alphabet, word):
+    index = alphabet._index
+    return [index[x] for x in parse_word(alphabet, word)]
 
 
 def is_invertible(machine):
@@ -281,12 +289,18 @@ class SignedTables:
                 lam.append(lrow)
         self.delta = delta
         self.lam = lam
+        self.names = list(machine.states) + [inverse_name(s) for s in machine.states]
+        self._codes = {s: q for q, s in enumerate(machine.states)}
+        if self.invertible:
+            for q in range(n, 2 * n):
+                self._codes.setdefault(self.names[q], q)
 
     def state_code(self, name):
         """Index of a possibly-signed state name; literal state names take
         precedence over the signed reading of an inverse suffix."""
-        if name in self.machine.states:
-            return self.machine.states.index(name)
+        code = self._codes.get(name)
+        if code is not None:
+            return code
         if is_inverse_name(name):
             if not self.invertible:
                 raise SignedStateOnNonInvertible(
@@ -296,9 +310,7 @@ class SignedTables:
         return self.machine.state_index(name)
 
     def state_name(self, code):
-        if code < self.n:
-            return self.machine.states[code]
-        return inverse_name(self.machine.states[code - self.n])
+        return self.names[code]
 
     def codes(self, state_word):
         if isinstance(state_word, str):
@@ -326,29 +338,29 @@ def act_output(machine, states, word, _tables=None):
     """Output word produced by the state word acting on ``word``."""
     tables = _tables or SignedTables(machine)
     codes = tables.codes(states)
-    letters = [machine.alphabet.index(x) for x in parse_word(machine.alphabet, word)]
+    letters = _letter_indices(machine.alphabet, word)
     out = _run(tables, codes, letters)
-    return tuple(machine.alphabet[b] for b in out)
+    return tuple([machine.alphabet.symbols[b] for b in out])
 
 
 def act_transition(machine, states, word, _tables=None):
     """State word reached after the state word processes ``word``."""
     tables = _tables or SignedTables(machine)
     codes = tables.codes(states)
-    letters = [machine.alphabet.index(x) for x in parse_word(machine.alphabet, word)]
+    letters = _letter_indices(machine.alphabet, word)
     _run(tables, codes, letters)
-    return tuple(tables.state_name(c) for c in codes)
+    return tuple([tables.names[c] for c in codes])
 
 
 def act_pair(machine, states, word, _tables=None):
     """Both halves of the coupled action: (output word, next state word)."""
     tables = _tables or SignedTables(machine)
     codes = tables.codes(states)
-    letters = [machine.alphabet.index(x) for x in parse_word(machine.alphabet, word)]
+    letters = _letter_indices(machine.alphabet, word)
     out = _run(tables, codes, letters)
     return (
-        tuple(machine.alphabet[b] for b in out),
-        tuple(tables.state_name(c) for c in codes),
+        tuple([machine.alphabet.symbols[b] for b in out]),
+        tuple([tables.names[c] for c in codes]),
     )
 
 

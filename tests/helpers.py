@@ -1,6 +1,7 @@
 """Seeded random machine samplers and small oracles shared by test modules."""
 
 import itertools
+import random
 from collections import Counter, deque
 
 import mealyforge as mf
@@ -482,3 +483,151 @@ def oracle_find_relations(machine, max_len, depth):
         w for w in oracle_reduced_words(machine, max_len)
         if oracle_is_relation(machine, w, depth)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Stallings folding as the library computed it before the integer-coded
+# kernel: one string-named vertex per letter of a flower, a dict union-find
+# over the sorted involutive closure, and a second canonical renaming in
+# the core.
+
+
+def oracle_fold(vertices, edges, base, labels, order_seed=None):
+    """Folded automaton by a dict union-find over string vertices."""
+    vertices = list(vertices)
+    edge_list = sorted(mf.involutive_closure(edges))
+    if order_seed is not None:
+        random.Random(order_seed).shuffle(edge_list)
+    parent = {v: v for v in vertices}
+    size = {v: 1 for v in vertices}
+    out = {v: {} for v in vertices}
+
+    def find(v):
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    def union(a, b):
+        stack = [(a, b)]
+        while stack:
+            x, y = stack.pop()
+            rx, ry = find(x), find(y)
+            if rx == ry:
+                continue
+            if size[rx] < size[ry]:
+                rx, ry = ry, rx
+            parent[ry] = rx
+            size[rx] += size[ry]
+            small = out.pop(ry)
+            big = out[rx]
+            for lab, tgt in small.items():
+                if lab in big:
+                    stack.append((big[lab], tgt))
+                else:
+                    big[lab] = tgt
+
+    for u, x, v in edge_list:
+        while True:
+            ru = find(u)
+            d = out[ru]
+            if x in d:
+                if find(d[x]) == find(v):
+                    break
+                union(d[x], v)
+                continue
+            d[x] = v
+            break
+
+    roots = sorted({find(v) for v in vertices}, key=vertices.index)
+    edges_out = {}
+    for r in roots:
+        for x, tgt in out[r].items():
+            edges_out[(r, x)] = find(tgt)
+    aut = mf.InverseAutomaton(tuple(roots), tuple(labels), edges_out, find(base))
+    return aut.canonical()
+
+
+def oracle_core(aut):
+    """Strip degree-one vertices other than the base, by name."""
+    degree = {v: 0 for v in aut.vertices}
+    for v, x, w in aut.positive_edges():
+        degree[v] += 1
+        degree[w] += 1
+    alive = set(aut.vertices)
+    queue = deque(v for v in aut.vertices if degree[v] <= 1 and v != aut.base)
+    incident = {v: [] for v in aut.vertices}
+    for v, x, w in aut.positive_edges():
+        incident[v].append((w, (v, x, w)))
+        incident[w].append((v, (v, x, w)))
+    dead_edges = set()
+    while queue:
+        v = queue.popleft()
+        if v not in alive or degree[v] > 1 or v == aut.base:
+            continue
+        alive.discard(v)
+        for other, e in incident[v]:
+            if e in dead_edges:
+                continue
+            dead_edges.add(e)
+            degree[other] -= 1
+            degree[v] -= 1
+            if other in alive and degree[other] <= 1 and other != aut.base:
+                queue.append(other)
+    edges = {
+        (v, x): w
+        for (v, x), w in aut.edges.items()
+        if v in alive and w in alive
+        and (v, x, w) not in dead_edges
+        and (w, mf.inverse_name(x), v) not in dead_edges
+    }
+    vertices = tuple(v for v in aut.vertices if v in alive)
+    return mf.InverseAutomaton(vertices, aut.labels, edges, aut.base).canonical()
+
+
+def _oracle_flower(generators):
+    vertices = ["*"]
+    edges = []
+    for i, word in enumerate(generators):
+        word = mf.reduce_word(tuple(word))
+        prev = "*"
+        for j, x in enumerate(word):
+            nxt = "*" if j == len(word) - 1 else "p%d_%d" % (i, j)
+            if nxt != "*":
+                vertices.append(nxt)
+            edges.append((prev, x, nxt))
+            prev = nxt
+    return vertices, edges, "*"
+
+
+def oracle_stallings(generators, labels, order_seed=None):
+    """Core of the folded flower of the generator words."""
+    vertices, edges, base = _oracle_flower(generators)
+    return oracle_core(oracle_fold(vertices, edges, base, labels, order_seed))
+
+
+def oracle_basis(aut):
+    """Spanning-tree basis of the loop language, by name."""
+    tree = set()
+    path = {aut.base: ()}
+    order = [aut.base]
+    queue = deque([aut.base])
+    while queue:
+        v = queue.popleft()
+        for x in aut.labels:
+            w = aut.edges.get((v, x))
+            if w is not None and w not in path:
+                path[w] = path[v] + (x,)
+                tree.add((v, x, w))
+                tree.add((w, mf.inverse_name(x), v))
+                order.append(w)
+                queue.append(w)
+    rank = {v: i for i, v in enumerate(order)}
+    words = []
+    for v, x, w in sorted(aut.positive_edges(), key=lambda e: (rank[e[0]], e[1])):
+        if (v, x, w) in tree:
+            continue
+        words.append(mf.reduce_word(path[v] + (x,) + mf.invert_word(path[w])))
+    return words

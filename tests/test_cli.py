@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import runpy
+import sys
 
 import pytest
 
@@ -155,6 +157,26 @@ def test_schreier_basis(capsys, odo_path):
     assert payload["rank"] == 9
     assert "e" in payload["stabilizer_basis"]
     assert "q q q q q q q q" in payload["stabilizer_basis"]
+
+
+def test_schreier_builds_the_component_once(capsys, monkeypatch, odo_path):
+    calls = []
+    build = mf.levels.level_component
+    monkeypatch.setattr(mf.levels, "level_component", lambda *a: calls.append(a) or build(*a))
+    code, out, _ = run(capsys, "schreier", odo_path, "--word", "011", "--stabilizer-basis")
+    assert code == 0 and "stabilizer rank: 9" in out
+    assert len(calls) == 1
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch, odo_path):
+    argv = ["schreier", odo_path, "--word", "011"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["mealyforge"] + argv)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("mealyforge", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == expected == "orbit of 011: 8 vertices\n"
 
 
 def test_level_group_command(capsys, odo_path):
