@@ -29,10 +29,12 @@ from .graphs import (
 )
 from .levels import (
     DEFAULT_VERTEX_BUDGET,
-    _component_raw,
+    LevelAction,
+    _component_raw,  # noqa: F401  (bench/tracing.py wraps it under this name)
+    _reduced_code_words,
     _root_rows,
+    _SectionCheck,
     _signed_tables,
-    is_group_relation_up_to,
     level_group,
     lift,
     norm,
@@ -42,10 +44,8 @@ from .machines import (
     DEFAULT_NODE_BUDGET,
     SignedTables,
     StateWordTable,
-    act_output,
-    act_transition,
+    _run,
     action_signature,  # noqa: F401  (bench/tracing.py wraps it under this name)
-    inverse_name,
     is_bireversible,
     is_invertible,
     is_reversible,
@@ -394,31 +394,14 @@ def decide_bounded_schreier(machine, limit, horizon=None, budget=DEFAULT_VERTEX_
                 level_nodes.append(_ChainNode(word, rows, parent))
         frontier = level_nodes
     # No word of length k has a small component; the whole level settles
-    # the question.
-    try:
-        chi_here = _full_level_chi(tables, m, k, budget - spent)
-    except BudgetExceeded:
+    # the question.  Its components hold all m^k words between them.
+    if m**k > budget - spent:
         raise BudgetExceeded(
             "bounded-orbit search budget exhausted",
             partial=BoundedVerdict(kind="no", limit=limit, level=k),
-        ) from None
+        )
+    chi_here = min(LevelAction(tables, k, n_codes=tables.n).orbits()[1])
     return BoundedVerdict(kind="no", limit=limit, level=k, chi_at_level=chi_here)
-
-
-def _full_level_chi(tables, m, k, budget):
-    """Smallest component size over the entire level k; ``budget`` caps the
-    vertices of the components built."""
-    best = None
-    seen = set()
-    for w in itertools.product(range(m), repeat=k):
-        if w in seen:
-            continue
-        vertices, _ = _component_raw(tables, w, budget)
-        budget -= len(vertices)
-        seen.update(vertices)
-        if best is None or len(vertices) < best:
-            best = len(vertices)
-    return best
 
 
 def verify_bounded_witness(machine, verdict, periods=4):
@@ -544,40 +527,32 @@ def periodic_stabilizer_scan(machine, max_period, max_gen_len, depth=4):
     A state word fixes w^infinity iff iterating "act on w, take the reached
     state word" only ever outputs w again until a state word repeats.  Each
     fixing word is also checked for acting nontrivially on words of the
-    configured depth, which makes it interesting evidence.
+    configured depth, which makes it interesting evidence.  Candidates are
+    the reduced words up to ``max_gen_len`` in length-lex order.
     """
-    _signed_tables(machine)  # validates invertibility
-    gens = tuple(machine.states) + tuple(inverse_name(s) for s in machine.states)
+    tables = _signed_tables(machine)
+    check = _SectionCheck(tables)
+    names = tables.names
+    candidates = [g for words in _reduced_code_words(tables.n, max_gen_len) for g in words]
     entries = []
     for plen in range(1, max_period + 1):
-        for w in itertools.product(tuple(machine.alphabet), repeat=plen):
-            wname = word_name(
-                machine.alphabet, tuple(machine.alphabet.index(x) for x in w)
-            )
-            for glen in range(1, max_gen_len + 1):
-                for g in itertools.product(gens, repeat=glen):
-                    if any(
-                        g[i] == inverse_name(g[i + 1]) for i in range(len(g) - 1)
-                    ):
-                        continue
-                    s = g
-                    seen = set()
-                    fixes = True
-                    while s not in seen:
-                        seen.add(s)
-                        out = act_output(machine, s, w)
-                        if out != w:
-                            fixes = False
-                            break
-                        s = act_transition(machine, s, w)
-                    if fixes:
-                        entries.append(
-                            PeriodicFixEntry(
-                                period_word=wname,
-                                state_word=g,
-                                nontrivial=not is_group_relation_up_to(
-                                    machine, g, depth
-                                ),
-                            )
+        for w in itertools.product(range(len(machine.alphabet)), repeat=plen):
+            wname = word_name(machine.alphabet, w)
+            for g in candidates:
+                s = g
+                seen = set()
+                while s not in seen:
+                    seen.add(s)
+                    codes = list(s)
+                    if tuple(_run(tables, codes, w)) != w:
+                        break
+                    s = tuple(codes)
+                else:
+                    entries.append(
+                        PeriodicFixEntry(
+                            period_word=wname,
+                            state_word=tuple(names[c] for c in g),
+                            nontrivial=not check.trivial(g, depth),
                         )
+                    )
     return entries

@@ -23,7 +23,10 @@ from .errors import (
 )
 from .levels import (
     LevelAction,
-    is_group_relation_up_to,
+    _reduced_code_words,
+    _SectionCheck,
+    _signed_tables,
+    is_group_relation_up_to,  # noqa: F401  (bench/tracing.py wraps it under this name)
     level_group,
     schreier_stabilizer_generators,
 )
@@ -31,7 +34,8 @@ from .machines import (
     Alphabet,
     MealyMachine,
     SignedTables,
-    act_transition,
+    _run,
+    act_transition,  # noqa: F401  (bench/tracing.py wraps it under this name)
     base_name,
     inverse_name,
     is_inverse_name,
@@ -164,14 +168,11 @@ class GroupTable:
 
     def evaluate(self, signed_word):
         """Product of a signed word, formal inverses taken in the table."""
-        acc = 0
-        for token in signed_word:
-            if is_inverse_name(token):
-                i = self.inverses[self.index(base_name(token))]
-            else:
-                i = self.index(token)
-            acc = self.table[acc][i]
-        return self.elements[acc]
+        codes = [
+            self.index(base_name(t)) + self.order if is_inverse_name(t) else self.index(t)
+            for t in signed_word
+        ]
+        return self.elements[_product(self, codes)]
 
 
 def group_from_table(elements, rows, max_order=DEFAULT_TABLE_ORDER):
@@ -264,49 +265,60 @@ def relation_recursion(group, k_max, verify_depth=None, budget=10**7):
     whole word evaluates to the identity read right to left (the
     rightmost state acts first), and the words feeding the next step are
     those whose letter-action orbit lands in the current relation set.
+
+    Words are held as signed state codes of the dual (element i, its
+    formal inverse i + |G|) and named only in the ledger; every relation
+    checked to ``verify_depth`` shares one memo of section words.
     """
-    dual_machine = dual(cayley_machine(group))
-    tables = SignedTables(dual_machine)
-    tokens = tuple(group.elements) + tuple(inverse_name(g) for g in group.elements)
-    identity = group.elements[0]
+    tables = SignedTables(dual(cayley_machine(group)))
+    n, names = group.order, tables.names
+    check = _SectionCheck(tables)
     n_sets = {}
     v_sets = {0: frozenset({()})}
+    feeders = [()]  # the words of the last v-set, as codes
     all_verified = True
     for k in range(1, k_max + 1):
         new_relations = set()
-        for v in v_sets[2 * (k - 1)]:
-            tail_value = group.evaluate(tuple(reversed(v)))
-            for x in group.elements:
-                for y in group.elements:
-                    pair_value = group.mult(x, group.inverse(y))
-                    if group.mult(pair_value, tail_value) != identity:
-                        continue
-                    word = v + (inverse_name(y), x)
-                    new_relations |= _cyclic_shifts(word)
-        n_sets[2 * k] = frozenset(new_relations)
+        for v in feeders:
+            # x y^-1 t = e for the value t of v read right to left: x = t^-1 y.
+            t_inv = group.inverses[_product(group, reversed(v))]
+            for y in range(n):
+                new_relations |= _cyclic_shifts(v + (y + n, group.table[t_inv][y]))
+        n_sets[2 * k] = _named(names, new_relations)
         if verify_depth is not None:
             for w in new_relations:
-                if not is_group_relation_up_to(dual_machine, w, verify_depth):
+                if not check.trivial(w, verify_depth):
                     all_verified = False
-        if len(tokens) ** (2 * k) > budget:
+        if (2 * n) ** (2 * k) > budget:
             raise BudgetExceeded(
                 "relation recursion candidate budget exhausted",
                 partial=RelationLedger(
                     group, n_sets, v_sets, verify_depth, all_verified
                 ),
             )
-        keep = set()
-        for u in itertools.product(tokens, repeat=2 * k):
-            images_ok = True
-            for g in group.elements:
-                image = act_transition(dual_machine, u, (g,), _tables=tables)
-                if image not in n_sets[2 * k]:
-                    images_ok = False
+        feeders = []
+        for u in itertools.product(range(2 * n), repeat=2 * k):
+            for g in range(n):
+                image = list(u)
+                _run(tables, image, (g,))
+                if tuple(image) not in new_relations:
                     break
-            if images_ok:
-                keep.add(u)
-        v_sets[2 * k] = frozenset(keep)
+            else:
+                feeders.append(u)
+        v_sets[2 * k] = _named(names, feeders)
     return RelationLedger(group, n_sets, v_sets, verify_depth, all_verified)
+
+
+def _named(names, code_words):
+    return frozenset(tuple(names[c] for c in w) for w in code_words)
+
+
+def _product(group, codes):
+    """Index of the product of signed codes: element i, or its inverse as i + order."""
+    acc = 0
+    for c in codes:
+        acc = group.table[acc][c if c < group.order else group.inverses[c - group.order]]
+    return acc
 
 
 @dataclass
@@ -321,16 +333,6 @@ class PalindromicReport:
     letter_stabilizer_orders: dict  # letter -> stabilizer order at level 1
 
 
-def _reduced_words(tokens, length):
-    if length == 0:
-        yield ()
-        return
-    for w in itertools.product(tokens, repeat=length):
-        if any(w[i] == inverse_name(w[i + 1]) for i in range(len(w) - 1)):
-            continue
-        yield w
-
-
 def palindromic_diagnostics(group, max_len=4, level_k=3):
     """Compare words evaluating to the identity with their reversals.
 
@@ -338,17 +340,15 @@ def palindromic_diagnostics(group, max_len=4, level_k=3):
     palindrome machine's dual and the letter stabilizers at level one give
     the finite-level picture of the same phenomenon.
     """
-    tokens = tuple(group.elements) + tuple(inverse_name(g) for g in group.elements)
-    identity = group.elements[0]
     per_length = {}
     palindromic = True
-    for length in range(1, max_len + 1):
+    for length, words in enumerate(_reduced_code_words(group.order, max_len), 1):
         h = set()
         hr = set()
-        for w in _reduced_words(tokens, length):
-            if group.evaluate(w) == identity:
+        for w in words:
+            if _product(group, w) == 0:
                 h.add(w)
-            if group.evaluate(tuple(reversed(w))) == identity:
+            if _product(group, reversed(w)) == 0:
                 hr.add(w)
         per_length[length] = (len(h), len(hr), len(h & hr))
         if h != hr:
@@ -357,12 +357,11 @@ def palindromic_diagnostics(group, max_len=4, level_k=3):
     level_orders = {}
     for k in range(1, level_k + 1):
         level_orders[k] = level_group(machine, k).order
-    report1 = level_group(machine, 1)
+    order1 = level_orders.get(1) or level_group(machine, 1).order
     tables = SignedTables(machine)
     label, sizes = LevelAction(tables, 1, n_codes=tables.n).orbits()
     stabs = {
-        letter: report1.order // sizes[label[i]]
-        for i, letter in enumerate(report1.words)
+        letter: order1 // sizes[label[i]] for i, letter in enumerate(machine.alphabet)
     }
     return PalindromicReport(
         order=group.order,
@@ -386,6 +385,8 @@ class IdentityMachineReport:
 
 def identity_machine_group_check(group, k_max=4, depth=4):
     machine = dual(identity_machine_of(group))
+    tables = _signed_tables(machine)
+    check = _SectionCheck(tables)
     level_orders = {}
     orders_match = True
     stabilizers_trivial = True
@@ -395,6 +396,6 @@ def identity_machine_group_check(group, k_max=4, depth=4):
             orders_match = False
         for v in itertools.product(tuple(machine.alphabet), repeat=k):
             for w in schreier_stabilizer_generators(machine, v):
-                if reduce_word(w) and not is_group_relation_up_to(machine, w, depth):
+                if reduce_word(w) and not check.trivial(tuple(tables.codes(w)), depth):
                     stabilizers_trivial = False
     return IdentityMachineReport(level_orders, orders_match, stabilizers_trivial)

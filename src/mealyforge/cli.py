@@ -172,7 +172,7 @@ def cmd_components(args):
 def cmd_schreier(args):
     m = _load_machine(args.machine)
     word = m.word(args.word)
-    comp = levels.level_component(m, word)
+    comp = levels.level_component(m, word, _budget(args, levels.DEFAULT_VERTEX_BUDGET))
     payload = {"word": args.word, "orbit_size": comp.size}
     lines = ["orbit of %s: %d vertices" % (args.word, comp.size)]
     if args.stabilizer_basis:

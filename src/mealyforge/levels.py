@@ -35,9 +35,7 @@ from .machines import (
     SignedTables,
     StateWordTable,
     _run,
-    act_output,
     act_pair,
-    act_transition,
     action_signature,  # noqa: F401  (bench/tracing.py wraps it under this name)
     inverse_name,
     parse_word,
@@ -72,14 +70,6 @@ def _signed_tables(machine):
     if not tables.invertible:
         raise NotInvertible("level structures require an invertible machine")
     return tables
-
-
-def _gen_codes(tables):
-    return list(range(2 * tables.n))
-
-
-def _gen_names(tables):
-    return tuple(tables.state_name(c) for c in _gen_codes(tables))
 
 
 class LevelAction:
@@ -171,7 +161,7 @@ def _check_level_budget(tables, k, budget):
 
 def _root_rows(tables):
     """The component of the empty word: one vertex, every state a loop."""
-    return (tuple((0, g) for g in _gen_codes(tables)),)
+    return (tuple((0, g) for g in range(2 * tables.n)),)
 
 
 def _lift(rows, a, tables, cap=None):
@@ -286,7 +276,7 @@ class TransducerComponent:
 
 def _component_named(machine, tables, order, edges):
     names = {w: word_name(machine.alphabet, w) for w in order}
-    gens = _gen_names(tables)
+    gens = tuple(tables.names)
     named_edges = {
         (names[v], gens[g]): (names[w], gens[s]) for (v, g), (w, s) in edges.items()
     }
@@ -378,7 +368,7 @@ def level_graph(machine, k, budget=DEFAULT_VERTEX_BUDGET):
     action = LevelAction(tables, k)
     perm, sec = action.perm, action.sections()
     names = _level_words(machine, k)
-    gens = _gen_names(tables)
+    gens = tuple(tables.names)
     edges = {
         (name, gens[g]): (names[perm[g][v]], gens[sec[g][v]])
         for v, name in enumerate(names)
@@ -490,7 +480,7 @@ def level_group(machine, k, order_budget=DEFAULT_ORDER_BUDGET):
     """
     tables = _signed_tables(machine)
     action = LevelAction(tables, k)
-    gen_names = _gen_names(tables)
+    gen_names = tuple(tables.names)
     perms = {name: tuple(row) for name, row in zip(gen_names, action.perm)}
     identity = tuple(range(action.size))
     elements = {identity: 0}
@@ -601,6 +591,18 @@ class _SectionCheck:
         return True
 
 
+def _reduced_code_words(n, max_len):
+    """Reduced words over signed state codes (0..n-1 the states, n..2n-1
+    their inverses): one list per length 1..max_len, each length-lex."""
+    n2 = 2 * n
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [
+            w + (g,) for w in frontier for g in range(n2) if not w or g != (w[-1] + n) % n2
+        ]
+        yield frontier
+
+
 def is_group_relation_up_to(machine, state_word, depth):
     """Whether the state word acts as the identity on all words of the
     given length (hence on all shorter ones)."""
@@ -618,15 +620,10 @@ def find_relations(machine, max_len, depth, budget=DEFAULT_NODE_BUDGET):
     holds every relation of the lengths completed.
     """
     tables = _signed_tables(machine)
-    gens = _gen_names(tables)
-    n, n2 = tables.n, 2 * tables.n
+    gens = tuple(tables.names)
     check = _SectionCheck(tables, budget)
     found = []
-    frontier = [()]
-    for length in range(1, max_len + 1):
-        frontier = [
-            w + (g,) for w in frontier for g in range(n2) if not w or g != (w[-1] + n) % n2
-        ]
+    for length, frontier in enumerate(_reduced_code_words(tables.n, max_len), 1):
         try:
             found += [w for w in frontier if check.trivial(w, depth)]
         except BudgetExceeded as exc:

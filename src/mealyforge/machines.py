@@ -21,7 +21,6 @@ from .errors import (
     BudgetExceeded,
     DuplicateTransition,
     MissingTransition,
-    NotInvertible,
     SignedStateOnNonInvertible,
     UnknownSymbol,
 )

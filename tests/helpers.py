@@ -5,6 +5,7 @@ import random
 from collections import Counter, deque
 
 import mealyforge as mf
+from mealyforge.boundary import PeriodicFixEntry
 from mealyforge.levels import _growth_report, word_name
 from mealyforge.machines import SignedTables, _run
 
@@ -631,3 +632,156 @@ def oracle_basis(aut):
             continue
         words.append(mf.reduce_word(path[v] + (x,) + mf.invert_word(path[w])))
     return words
+
+
+# ---------------------------------------------------------------------------
+# Reduced state words by name, as the periodic scan and the Cayley reports
+# enumerated and read them before they shared ``levels._reduced_code_words``
+# and one ``levels._SectionCheck``: every candidate is a tuple of names,
+# filtered for cancelling neighbours, acted on through ``act_output`` and
+# ``act_transition``, and checked for relations with a fresh memo.
+
+
+def oracle_reduced_tokens(tokens, length):
+    """Reduced words of one length over names and their formal inverses."""
+    if length == 0:
+        yield ()
+        return
+    for w in itertools.product(tokens, repeat=length):
+        if any(w[i] == mf.inverse_name(w[i + 1]) for i in range(len(w) - 1)):
+            continue
+        yield w
+
+
+def oracle_evaluate(group, signed_word):
+    """Product of a signed word by name, through ``mult`` and ``inverse``."""
+    acc = group.elements[0]
+    for t in signed_word:
+        if t.endswith("^-1") and t[:-3] in group.elements:
+            t = group.inverse(t[:-3])
+        acc = group.mult(acc, t)
+    return acc
+
+
+def oracle_periodic_scan(machine, max_period, max_gen_len, depth=4):
+    """``periodic_stabilizer_scan`` by name, one fresh relation check per
+    fixing word."""
+    gens = tuple(machine.states) + tuple(mf.inverse_name(s) for s in machine.states)
+    entries = []
+    for plen in range(1, max_period + 1):
+        for w in itertools.product(tuple(machine.alphabet), repeat=plen):
+            wname = word_name(machine.alphabet, tuple(machine.alphabet.index(x) for x in w))
+            for glen in range(1, max_gen_len + 1):
+                for g in oracle_reduced_tokens(gens, glen):
+                    s = g
+                    seen = set()
+                    fixes = True
+                    while s not in seen:
+                        seen.add(s)
+                        if mf.act_output(machine, s, w) != w:
+                            fixes = False
+                            break
+                        s = mf.act_transition(machine, s, w)
+                    if fixes:
+                        entries.append(
+                            PeriodicFixEntry(
+                                period_word=wname,
+                                state_word=g,
+                                nontrivial=not mf.is_group_relation_up_to(machine, g, depth),
+                            )
+                        )
+    return entries
+
+
+def oracle_relation_recursion(group, k_max, verify_depth=None, budget=10**7):
+    """``relation_recursion`` by name: every candidate word's images through
+    ``act_transition``, every relation verified with a fresh check."""
+    dual_machine = mf.dual(mf.cayley_machine(group))
+    tables = SignedTables(dual_machine)
+    tokens = tuple(group.elements) + tuple(mf.inverse_name(g) for g in group.elements)
+    identity = group.elements[0]
+    n_sets = {}
+    v_sets = {0: frozenset({()})}
+    all_verified = True
+    for k in range(1, k_max + 1):
+        new_relations = set()
+        for v in v_sets[2 * (k - 1)]:
+            tail_value = oracle_evaluate(group, tuple(reversed(v)))
+            for x in group.elements:
+                for y in group.elements:
+                    if group.mult(group.mult(x, group.inverse(y)), tail_value) != identity:
+                        continue
+                    word = v + (mf.inverse_name(y), x)
+                    new_relations |= {word[i:] + word[:i] for i in range(len(word))}
+        n_sets[2 * k] = frozenset(new_relations)
+        if verify_depth is not None:
+            for w in new_relations:
+                if not mf.is_group_relation_up_to(dual_machine, w, verify_depth):
+                    all_verified = False
+        if len(tokens) ** (2 * k) > budget:
+            raise mf.BudgetExceeded(
+                "relation recursion candidate budget exhausted",
+                partial=mf.RelationLedger(group, n_sets, v_sets, verify_depth, all_verified),
+            )
+        v_sets[2 * k] = frozenset(
+            u for u in itertools.product(tokens, repeat=2 * k)
+            if all(
+                mf.act_transition(dual_machine, u, (g,), _tables=tables) in n_sets[2 * k]
+                for g in group.elements
+            )
+        )
+    return mf.RelationLedger(group, n_sets, v_sets, verify_depth, all_verified)
+
+
+def oracle_palindromic_counts(group, max_len):
+    """(per_length, palindromic) of ``palindromic_diagnostics`` by name."""
+    tokens = tuple(group.elements) + tuple(mf.inverse_name(g) for g in group.elements)
+    identity = group.elements[0]
+    per_length = {}
+    for length in range(1, max_len + 1):
+        words = list(oracle_reduced_tokens(tokens, length))
+        h = {w for w in words if oracle_evaluate(group, w) == identity}
+        hr = {w for w in words if oracle_evaluate(group, tuple(reversed(w))) == identity}
+        per_length[length] = (len(h), len(hr), len(h & hr))
+    palindromic = all(h == hr == both for h, hr, both in per_length.values())
+    return per_length, palindromic
+
+
+def oracle_stabilizers_trivial(group, k_max, depth):
+    """``identity_machine_group_check``'s stabilizer verdict, every basis
+    word checked on all input words of length ``depth``."""
+    machine = mf.dual(mf.identity_machine_of(group))
+    return all(
+        not mf.reduce_word(w) or oracle_is_relation(machine, w, depth)
+        for k in range(1, k_max + 1)
+        for v in itertools.product(tuple(machine.alphabet), repeat=k)
+        for w in mf.schreier_stabilizer_generators(machine, v)
+    )
+
+
+def differential_machines(corpus_machines):
+    """The invertible machines the fast paths are checked on: the corpus,
+    the Cayley, palindrome and identity machines of Z2, Z3, Klein and S3
+    with their duals, and seeded random invertible and bireversible
+    machines."""
+    out = dict(corpus_machines)
+    groups = {
+        "z2": mf.GroupTable.cyclic(2),
+        "z3": mf.GroupTable.cyclic(3),
+        "klein": mf.GroupTable.klein(),
+        "s3": mf.GroupTable.symmetric3(),
+    }
+    for g, group in groups.items():
+        for kind, build in (
+            ("cay", mf.cayley_machine),
+            ("pal", mf.palindrome_machine),
+            ("id", mf.identity_machine_of),
+        ):
+            machine = build(group)
+            out["%s.%s" % (g, kind)] = machine
+            out["%s.%s.dual" % (g, kind)] = mf.dual(machine)
+    rng = random.Random(4001)
+    for i in range(8):
+        out["rinv%d" % i] = rand_invertible(rng, rng.randrange(1, 4), rng.randrange(2, 4))
+        out["rbi%d" % i] = rand_bireversible(rng, rng.randrange(2, 4), rng.randrange(2, 4))
+    return {name: m for name, m in out.items() if mf.is_invertible(m)}

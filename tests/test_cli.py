@@ -168,6 +168,19 @@ def test_schreier_builds_the_component_once(capsys, monkeypatch, odo_path):
     assert len(calls) == 1
 
 
+def test_schreier_budget_caps_the_orbit(capsys, monkeypatch, grig_path):
+    monkeypatch.delenv("MEALYFORGE_BUDGET", raising=False)
+    argv = ["schreier", grig_path, "--word", "0000"]
+    code, out, _ = run(capsys, "--budget", "10", *argv)
+    assert code == 3
+    assert json.loads(out)["error"] == "budget exceeded"
+    code, out, _ = run(capsys, "--budget", "16", *argv)
+    assert code == 0 and out == "orbit of 0000: 16 vertices\n"
+    monkeypatch.setenv("MEALYFORGE_BUDGET", "15")
+    code, _, _ = run(capsys, *argv)
+    assert code == 3
+
+
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch, odo_path):
     argv = ["schreier", odo_path, "--word", "011"]
     assert main(argv) == 0

@@ -10,49 +10,23 @@ and on seeded random invertible and bireversible machines.
 import collections
 import dataclasses
 import itertools
-import random
 
 import pytest
 
 import mealyforge as mf
 from helpers import (
+    differential_machines,
     oracle_component_raw,
     oracle_decide_bounded,
     oracle_finiteness,
-    rand_bireversible,
-    rand_invertible,
 )
 from mealyforge.levels import _component_raw, _root_rows, _signed_tables, lift
 from mealyforge.machines import SignedTables
 
 
-def _machines(corpus_machines):
-    out = dict(corpus_machines)
-    groups = {
-        "z2": mf.GroupTable.cyclic(2),
-        "z3": mf.GroupTable.cyclic(3),
-        "klein": mf.GroupTable.klein(),
-        "s3": mf.GroupTable.symmetric3(),
-    }
-    for g, group in groups.items():
-        for kind, build in (
-            ("cay", mf.cayley_machine),
-            ("pal", mf.palindrome_machine),
-            ("id", mf.identity_machine_of),
-        ):
-            machine = build(group)
-            out["%s.%s" % (g, kind)] = machine
-            out["%s.%s.dual" % (g, kind)] = mf.dual(machine)
-    rng = random.Random(4001)
-    for i in range(8):
-        out["rinv%d" % i] = rand_invertible(rng, rng.randrange(1, 4), rng.randrange(2, 4))
-        out["rbi%d" % i] = rand_bireversible(rng, rng.randrange(2, 4), rng.randrange(2, 4))
-    return {name: m for name, m in out.items() if mf.is_invertible(m)}
-
-
 @pytest.fixture(scope="module")
 def machines(corpus_machines):
-    return _machines(corpus_machines)
+    return differential_machines(corpus_machines)
 
 
 def _word_len(machine):
