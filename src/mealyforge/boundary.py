@@ -521,7 +521,9 @@ class PeriodicFixEntry:
     nontrivial: bool
 
 
-def periodic_stabilizer_scan(machine, max_period, max_gen_len, depth=4):
+def periodic_stabilizer_scan(
+    machine, max_period, max_gen_len, depth=4, budget=DEFAULT_NODE_BUDGET
+):
     """Find state words fixing some periodic boundary point w^infinity.
 
     A state word fixes w^infinity iff iterating "act on w, take the reached
@@ -529,19 +531,30 @@ def periodic_stabilizer_scan(machine, max_period, max_gen_len, depth=4):
     fixing word is also checked for acting nontrivially on words of the
     configured depth, which makes it interesting evidence.  Candidates are
     the reduced words up to ``max_gen_len`` in length-lex order.
+    ``budget`` counts the state words read through the machine, one per
+    period word read; ``BudgetExceeded.partial`` then holds the largest
+    period length completed and every entry up to it.
     """
     tables = _signed_tables(machine)
     check = _SectionCheck(tables)
     names = tables.names
     candidates = [g for words in _reduced_code_words(tables.n, max_gen_len) for g in words]
     entries = []
+    spent = 0
     for plen in range(1, max_period + 1):
+        done = len(entries)
         for w in itertools.product(range(len(machine.alphabet)), repeat=plen):
             wname = word_name(machine.alphabet, w)
             for g in candidates:
                 s = g
                 seen = set()
                 while s not in seen:
+                    spent += 1
+                    if spent > budget:
+                        raise BudgetExceeded(
+                            "periodic scan budget exhausted",
+                            partial={"max_period": plen - 1, "entries": entries[:done]},
+                        )
                     seen.add(s)
                     codes = list(s)
                     if tuple(_run(tables, codes, w)) != w:

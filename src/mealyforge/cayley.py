@@ -65,7 +65,13 @@ class GroupTable:
         if len(index) != len(elements):
             raise UnknownSymbol("duplicate element names")
         for g in elements:
-            if not g or any(c.isspace() for c in g) or "#" in g or ":" in g:
+            if (
+                not g
+                or any(c.isspace() for c in g)
+                or "#" in g
+                or ":" in g
+                or is_inverse_name(g)
+            ):
                 raise UnknownSymbol("bad element name: %r" % (g,))
         n = len(elements)
         table = []
@@ -394,7 +400,15 @@ def identity_machine_group_check(group, k_max=4, depth=4):
         level_orders[k] = level_group(machine, k).order
         if level_orders[k] != group.order:
             orders_match = False
-        for v in itertools.product(tuple(machine.alphabet), repeat=k):
+        # Stabilizers of one orbit are conjugate, and the words acting
+        # trivially to a depth form a normal subgroup: one word per orbit
+        # decides the verdict.
+        label = LevelAction(tables, k, n_codes=tables.n).orbits()[0]
+        seen = 0  # orbits are numbered in order of their first word
+        for v, c in zip(itertools.product(tuple(machine.alphabet), repeat=k), label):
+            if c < seen:
+                continue
+            seen += 1
             for w in schreier_stabilizer_generators(machine, v):
                 if reduce_word(w) and not check.trivial(tuple(tables.codes(w)), depth):
                     stabilizers_trivial = False

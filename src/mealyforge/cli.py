@@ -301,21 +301,28 @@ def cmd_torsion(args):
     return 0
 
 
+def _periodic_entries(entries):
+    return [
+        {
+            "period_word": e.period_word,
+            "state_word": " ".join(e.state_word),
+            "nontrivial": e.nontrivial,
+        }
+        for e in entries
+    ]
+
+
 def cmd_scan_periodic(args):
     m = _load_machine(args.machine)
-    entries = boundary.periodic_stabilizer_scan(
-        m, args.max_period, args.max_gen_len, depth=args.depth
-    )
-    payload = {
-        "entries": [
-            {
-                "period_word": e.period_word,
-                "state_word": " ".join(e.state_word),
-                "nontrivial": e.nontrivial,
-            }
-            for e in entries
-        ]
-    }
+    try:
+        entries = boundary.periodic_stabilizer_scan(
+            m, args.max_period, args.max_gen_len, depth=args.depth,
+            budget=_budget(args, machines.DEFAULT_NODE_BUDGET),
+        )
+    except BudgetExceeded as exc:
+        exc.partial["entries"] = _periodic_entries(exc.partial["entries"])
+        raise
+    payload = {"entries": _periodic_entries(entries)}
     lines = ["%d fixing state words" % len(entries)]
     for e in entries:
         mark = "nontrivial" if e.nontrivial else "trivial"

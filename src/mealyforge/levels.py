@@ -27,6 +27,7 @@ import itertools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BudgetExceeded, NotInvertible
 from .graphs import InverseAutomaton, basis, canonical_marked, find
@@ -461,51 +462,190 @@ def _growth_report(machine, chi, multisets):
     )
 
 
+class _ChainLevel:
+    """One level of a stabilizer chain: a base point, the strong generators
+    that fix the earlier base points, and the Schreier tree of the base
+    point's orbit under them.  ``edge[x]`` is the index of the generator
+    that first reached ``x`` (-1 at the base point, None off the orbit)."""
+
+    def __init__(self, base, n):
+        self.base = base
+        self.gens = []
+        self.invs = []
+        self.edge = [None] * n
+        self.edge[base] = -1
+        self.orbit = [base]
+        self.checked = set()  # (point, generator index) Schreier pairs sifted
+
+    def add(self, g):
+        """Add a strong generator and close the orbit under it."""
+        inv = [0] * len(g)
+        for x, y in enumerate(g):
+            inv[y] = x
+        self.gens.append(g)
+        self.invs.append(tuple(inv))
+        edge, orbit = self.edge, self.orbit
+        for x in orbit:  # the list grows while it is read: a BFS queue
+            for i, h in enumerate(self.gens):
+                y = h[x]
+                if edge[y] is None:
+                    edge[y] = i
+                    orbit.append(y)
+
+    def climb(self, g):
+        """``g`` followed by the inverse of the transversal element that
+        takes the base point to ``g[base]``; it fixes the base point."""
+        base, edge, invs = self.base, self.edge, self.invs
+        x = g[base]
+        while x != base:
+            inv = invs[edge[x]]
+            g = tuple(map(inv.__getitem__, g))
+            x = inv[x]
+        return g
+
+    def transversal(self, x):
+        """The element of the Schreier tree that takes the base point to ``x``."""
+        path = []
+        while x != self.base:
+            j = self.edge[x]
+            path.append(self.gens[j])
+            x = self.invs[j][x]
+        u = tuple(range(len(self.edge)))
+        for g in reversed(path):
+            u = tuple(map(g.__getitem__, u))
+        return u
+
+
+def _sift(chain, g, start):
+    """Strip ``g`` through the levels from ``start`` on: the residue and the
+    level where it left an orbit (``len(chain)`` when it passed them all)."""
+    for i in range(start, len(chain)):
+        level = chain[i]
+        if level.edge[g[level.base]] is None:
+            return g, i
+        g = level.climb(g)
+    return g, len(chain)
+
+
+def _residue(chain, i):
+    """Sift the unchecked Schreier generators of level ``i`` through the
+    levels below it: the first residue that is not the identity, with the
+    level where it stopped, or None when the level is complete."""
+    level = chain[i]
+    identity = tuple(range(len(level.edge)))
+    for x in level.orbit:
+        u = None
+        for j, s in enumerate(level.gens):
+            if (x, j) in level.checked:
+                continue
+            level.checked.add((x, j))
+            if level.edge[s[x]] == j:
+                continue  # a tree edge: the Schreier generator is trivial
+            if u is None:
+                u = level.transversal(x)
+            h, stop = _sift(chain, level.climb(tuple(map(s.__getitem__, u))), i + 1)
+            if h != identity:
+                return h, stop
+    return None
+
+
+def _stabilizer_chain(gens, n, budget=DEFAULT_ORDER_BUDGET):
+    """A base and strong generating set of the group generated by the
+    permutations ``gens`` of ``range(n)`` (tuples, ``g[x]`` the image of x).
+
+    Deterministic Schreier–Sims (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003, section 4.2): a level is complete when every Schreier
+    generator of its orbit sifts to the identity through the levels below
+    it; a residue that does not becomes a strong generator of every level
+    whose earlier base points it fixes.  Transversals are Schreier trees,
+    and the group order is the product of the orbit lengths.  ``budget``
+    caps the transversal entries, the orbit lengths summed over the chain.
+    """
+    identity = tuple(range(n))
+    chain = []
+
+    def insert(h, first, last):
+        if last == len(chain):
+            chain.append(_ChainLevel(next(x for x in identity if h[x] != x), n))
+        for level in chain[first : last + 1]:
+            level.add(h)
+        if sum(len(level.orbit) for level in chain) > budget:
+            raise BudgetExceeded("level group transversal budget exhausted")
+
+    for g in gens:
+        h, stop = _sift(chain, tuple(g), 0)
+        if h != identity:
+            insert(h, 0, stop)
+    i = len(chain) - 1
+    while i >= 0:
+        found = _residue(chain, i)
+        if found is None:
+            i -= 1
+        else:
+            h, stop = found
+            insert(h, i + 1, stop)
+            i = stop
+    return chain
+
+
 @dataclass
 class LevelGroupReport:
     """The finite permutation group induced on one level."""
 
     order: int
-    automaton: InverseAutomaton  # Cayley graph on signed state generators
     generator_perms: dict  # state name -> tuple permutation of word indices
     words: tuple  # word names in permutation index order
+    order_budget: int = DEFAULT_ORDER_BUDGET  # elements ``automaton`` may enumerate
+
+    @cached_property
+    def automaton(self):
+        """Cayley graph on the signed state generators, built on first access
+        by breadth-first search over the group's elements.
+
+        Vertices are group elements (named by discovery index, identity
+        first); reading a state word from the identity vertex ends at the
+        vertex of that word's action.  Raises ``BudgetExceeded`` when the
+        group has more than ``order_budget`` elements.
+        """
+        identity = tuple(range(len(self.words)))
+        elements = {identity: 0}
+        queue = deque([identity])
+        edges = {}
+        while queue:
+            pi = queue.popleft()
+            source = str(elements[pi])
+            for gname, pg in self.generator_perms.items():
+                nxt = tuple(map(pi.__getitem__, pg))
+                j = elements.get(nxt)
+                if j is None:
+                    if len(elements) >= self.order_budget:
+                        raise BudgetExceeded("level group order budget exhausted")
+                    j = elements[nxt] = len(elements)
+                    queue.append(nxt)
+                edges[(source, gname)] = str(j)
+        return InverseAutomaton(
+            tuple(str(i) for i in range(len(elements))),
+            tuple(self.generator_perms),
+            edges,
+            "0",
+        )
 
 
 def level_group(machine, k, order_budget=DEFAULT_ORDER_BUDGET):
     """Permutation group induced by the machine's states on level k.
 
-    Vertices of the returned automaton are group elements (named by
-    discovery index, identity first); reading a state word from the
-    identity vertex ends at the vertex of that word's action.
+    The order comes from a stabilizer chain of the positive states' level
+    permutations; ``order_budget`` caps its transversal entries, and
+    separately the elements that the report's ``automaton`` enumerates.
     """
     tables = _signed_tables(machine)
     action = LevelAction(tables, k)
-    gen_names = tuple(tables.names)
-    perms = {name: tuple(row) for name, row in zip(gen_names, action.perm)}
-    identity = tuple(range(action.size))
-    elements = {identity: 0}
-    queue = deque([identity])
-    edges = {}
-    while queue:
-        pi = queue.popleft()
-        source = str(elements[pi])
-        for gname, pg in perms.items():
-            nxt = tuple(map(pi.__getitem__, pg))
-            j = elements.get(nxt)
-            if j is None:
-                if len(elements) >= order_budget:
-                    raise BudgetExceeded("level group order budget exhausted")
-                j = elements[nxt] = len(elements)
-                queue.append(nxt)
-            edges[(source, gname)] = str(j)
-    aut = InverseAutomaton(
-        tuple(str(i) for i in range(len(elements))), gen_names, edges, "0"
-    )
+    chain = _stabilizer_chain(action.perm[: tables.n], action.size, order_budget)
     return LevelGroupReport(
-        order=len(elements),
-        automaton=aut,
-        generator_perms=perms,
+        order=math.prod(len(level.orbit) for level in chain),
+        generator_perms={name: tuple(row) for name, row in zip(tables.names, action.perm)},
         words=tuple(_level_words(machine, k)),
+        order_budget=order_budget,
     )
 
 

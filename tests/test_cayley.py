@@ -60,6 +60,15 @@ def test_group_table_validation_errors():
         mf.GroupTable.cyclic(3).index("z")
 
 
+def test_group_table_rejects_inverse_suffix_names():
+    # "x^-1" would read as the formal inverse of an element "x", so
+    # evaluate(("x^-1",)) could not name the group's own element.
+    with pytest.raises(mf.UnknownSymbol):
+        mf.group_from_table(("e", "x^-1"), [["e", "x^-1"], ["x^-1", "e"]])
+    with pytest.raises(mf.UnknownSymbol):
+        mf.group_from_table(("e^-1", "a"), [["e^-1", "a"], ["a", "e^-1"]])
+
+
 def test_group_table_order_cap():
     names = ["e"] + ["g%d" % i for i in range(1, 13)]
     rows = [[names[(i + j) % 13] for j in range(13)] for i in range(13)]

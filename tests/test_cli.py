@@ -204,6 +204,31 @@ def test_level_group_budget_exit(capsys, odo_path):
     assert json.loads(out)["error"] == "budget exceeded"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("components", "grigorchuk.mealy", "-k", "3"),
+        ("components", "grigorchuk.mealy", "--base", "000"),
+        ("schreier", "grigorchuk.mealy", "--word", "00"),
+        ("level-group", "grigorchuk.mealy", "-k", "2"),
+        ("growth", "grigorchuk.mealy", "-n", "2"),
+        ("decide-bounded", "grigorchuk.mealy", "--limit", "2"),
+        ("relations", "grigorchuk.mealy", "--max-len", "1", "--depth", "2"),
+        ("free-check", "grigorchuk.mealy", "--max-len", "1"),
+        ("torsion", "grigorchuk.mealy", "--max-len", "1", "--max-exp", "2"),
+        ("scan-periodic", "grigorchuk.mealy", "--max-period", "1", "--max-gen-len", "1"),
+        ("ledger", "z2.group", "--k-max", "1"),
+        ("power", "grigorchuk.mealy", "-k", "2"),
+    ],
+    ids=lambda argv: " ".join(a for a in argv if not a.endswith((".mealy", ".group"))),
+)
+def test_every_search_honours_budget_one(capsys, argv):
+    command, path, *rest = argv
+    code, out, _ = run(capsys, command, str(CORPUS / path), *rest, "--budget", "1")
+    assert code == 3
+    assert json.loads(out)["error"] == "budget exceeded"
+
+
 def test_growth_command(capsys, odo_path):
     code, out, _ = run(capsys, "growth", odo_path, "-n", "4", "--json")
     assert code == 0

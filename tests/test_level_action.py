@@ -133,6 +133,44 @@ def test_level_groups_match(machines):
             assert report.words == words, (name, k)
 
 
+def test_level_group_orders_of_grigorchuk(grigorchuk):
+    # |G/St(k)| = 2^(5 * 2^(k-3) + 2) for k >= 3 (Grigorchuk).
+    for k in range(3, 7):
+        assert mf.level_group(grigorchuk, k).order == 2 ** (5 * 2 ** (k - 3) + 2), k
+
+
+def test_level_group_orders_match_sympy(machines):
+    # Below these levels test_level_groups_match checks every order against
+    # the element enumeration; the binary machines seeded here add level
+    # groups of orders up to about 10^18.
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(9001)
+    deeper = {name: m for name, m in machines.items() if name.startswith(("rinv", "rbi"))}
+    for i in range(8):
+        deeper["binary%d" % i] = rand_invertible(rng, rng.randrange(2, 5), 2)
+    for name, machine in deeper.items():
+        for k in range(_depth(machine, 3, 2, 1) + 1, _depth(machine, 6, 3, 2) + 1):
+            report = mf.level_group(machine, k)
+            tables = _signed_tables(machine)
+            perms = [
+                combinatorics.Permutation(list(report.generator_perms[q]))
+                for q in tables.names[: tables.n]
+            ]
+            group = combinatorics.PermutationGroup(perms)
+            assert report.order == group.order(), (name, k)
+
+
+def test_level_group_automaton_is_built_on_access(grigorchuk, odometer):
+    report = mf.level_group(grigorchuk, 4, order_budget=100)
+    assert report.order == 4096 and "automaton" not in vars(report)
+    with pytest.raises(mf.BudgetExceeded):
+        report.automaton
+    report = mf.level_group(odometer, 3)
+    aut = report.automaton
+    assert len(aut.vertices) == report.order == 8
+    assert report.automaton is aut
+
+
 def test_relation_verdicts_match(machines):
     for name, machine in machines.items():
         # Depths 1-6 on binary machines; the oracle reads m^depth words, so

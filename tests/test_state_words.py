@@ -67,6 +67,24 @@ def test_periodic_scan_matches_name_oracle(machines):
     assert verdicts == {True, False}
 
 
+def test_periodic_scan_budget_partial_is_a_smaller_scan(grigorchuk):
+    # Each budget stops the scan inside some period length; the partial is
+    # then the complete scan of the shorter period lengths.
+    periods = set()
+    for budget in (1, 200, 400, 1600, 10**4):
+        try:
+            got = mf.periodic_stabilizer_scan(grigorchuk, 3, 2, depth=3, budget=budget)
+        except mf.BudgetExceeded as exc:
+            done = exc.partial["max_period"]
+            periods.add(done)
+            assert exc.partial["entries"] == mf.periodic_stabilizer_scan(
+                grigorchuk, done, 2, depth=3
+            ), budget
+        else:
+            assert got == mf.periodic_stabilizer_scan(grigorchuk, 3, 2, depth=3)
+    assert periods == {0, 1, 2}
+
+
 @pytest.mark.parametrize(
     "group, k_max, depth",
     [("z2", 3, 4), ("z2", 2, None), ("z3", 2, 3), ("klein", 2, 2), ("s3", 2, 2)],
