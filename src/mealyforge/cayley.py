@@ -43,6 +43,7 @@ from .machines import (
 )
 
 DEFAULT_TABLE_ORDER = 12
+DEFAULT_CANDIDATE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,7 @@ class RelationLedger:
     all_verified: bool
 
 
-def relation_recursion(group, k_max, verify_depth=None, budget=10**7):
+def relation_recursion(group, k_max, verify_depth=None, budget=DEFAULT_CANDIDATE_BUDGET):
     """Derive relation words of even lengths 2, 4, ..., 2*k_max.
 
     Seeds with the empty word and alternates two steps: relations of the

@@ -10,6 +10,7 @@ beats both.  Budgets below 1 are usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -351,14 +352,9 @@ def cmd_cayley(args):
     return _machine_out(args, result)
 
 
-def cmd_ledger(args):
-    group = _load_group(args.group)
-    ledger = cayley.relation_recursion(
-        group, args.k_max, verify_depth=args.depth,
-        budget=_budget(args, 10**7),
-    )
-    payload = {
-        "group_order": group.order,
+def _ledger_payload(ledger):
+    return {
+        "group_order": ledger.group.order,
         "verified_depth": ledger.verified_depth,
         "all_verified": ledger.all_verified,
         "relations": {
@@ -366,12 +362,24 @@ def cmd_ledger(args):
         },
         "feeder_counts": {str(k): len(ws) for k, ws in ledger.v_sets.items()},
     }
+
+
+def cmd_ledger(args):
+    group = _load_group(args.group)
+    try:
+        ledger = cayley.relation_recursion(
+            group, args.k_max, verify_depth=args.depth,
+            budget=_budget(args, cayley.DEFAULT_CANDIDATE_BUDGET),
+        )
+    except BudgetExceeded as exc:
+        exc.partial = _ledger_payload(exc.partial)
+        raise
     lines = []
     for k in sorted(ledger.n_sets):
         lines.append("length %d: %d relation words" % (k, len(ledger.n_sets[k])))
     lines.append("all verified to depth %s: %s" % (
         ledger.verified_depth, ledger.all_verified))
-    _emit_report(args, payload, "\n".join(lines))
+    _emit_report(args, _ledger_payload(ledger), "\n".join(lines))
     return 0
 
 
@@ -391,7 +399,14 @@ def _add_global_options(parser, top_level):
                         help="state/vertex budget override (at least 1)", **absent)
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built on first use and shared by every later call.
+
+    ``main`` parses each argv into a fresh namespace, so nothing carries
+    over between calls; building the 17 subparsers costs far more than a
+    parse.
+    """
     parser = _Parser(prog="mealyforge", description=__doc__)
     _add_global_options(parser, top_level=True)
     parser.set_defaults(output=None, budget=None)

@@ -1,13 +1,17 @@
 """End-to-end command-line tests, run in process through main(argv)."""
 
+import argparse
 import json
+import os
 import pathlib
 import runpy
+import subprocess
 import sys
 
 import pytest
 
 import mealyforge as mf
+from mealyforge import cli
 from mealyforge.cli import main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "machines"
@@ -450,3 +454,103 @@ def test_removed_flags_are_usage_errors(capsys, odo_path):
         with pytest.raises(SystemExit) as err:
             main(["growth", odo_path, "-n", "2", *flags])
         assert err.value.code == 64
+
+
+def test_ledger_budget_partial_is_the_payload_of_completed_lengths(capsys, z2_group_path):
+    code, out, _ = run(capsys, "ledger", z2_group_path, "--k-max", "1", "--budget", "1", "--json")
+    assert code == 3
+    partial = json.loads(out)["partial"]
+    assert "group" not in partial
+    assert set(partial) == {
+        "group_order", "verified_depth", "all_verified", "relations", "feeder_counts"
+    }
+    code, out, _ = run(capsys, "ledger", z2_group_path, "--k-max", "1", "--json")
+    assert code == 0
+    full = json.loads(out)
+    assert partial["relations"] == {"2": full["relations"]["2"]}
+    assert partial["feeder_counts"] == {"0": 1}
+    assert partial["group_order"] == full["group_order"] == 2
+
+
+# The parser is built once per process; these calls in sequence show that no
+# flag, budget or error state carries over from one main call to the next.
+
+
+def test_reused_parser_drops_json_and_output_flags(capsys, tmp_path, odo_path):
+    target = tmp_path / "out.json"
+    code, out, _ = run(capsys, "props", odo_path, "--json", "-o", str(target))
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["states"] == 2
+    code, out, _ = run(capsys, "props", odo_path)
+    assert code == 0
+    assert out.startswith("states: 2\n")
+
+
+def test_reused_parser_drops_the_budget(capsys, monkeypatch, odo_path):
+    monkeypatch.delenv("MEALYFORGE_BUDGET", raising=False)
+    argv = ("level-group", odo_path, "-k", "8")
+    code, _, _ = run(capsys, *argv, "--budget", "1")
+    assert code == 3
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "level 8 group order: 256\n"
+
+
+def test_budget_env_is_read_on_every_call(capsys, monkeypatch, odo_path):
+    monkeypatch.delenv("MEALYFORGE_BUDGET", raising=False)
+    argv = ("level-group", odo_path, "-k", "8")
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv("MEALYFORGE_BUDGET", "10")
+    assert run(capsys, *argv)[0] == 3
+
+
+def test_usage_error_then_valid_call(capsys, odo_path):
+    with pytest.raises(SystemExit) as err:
+        main(["components", odo_path])
+    assert err.value.code == 64
+    code, out, _ = run(capsys, "components", odo_path, "-k", "2")
+    assert code == 0 and "level 2: 1 components" in out
+
+
+def test_help_twice_prints_the_same_text(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(["-h"])
+        assert err.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert "usage: mealyforge" in texts[0] and "scan-periodic" in texts[0]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch, odo_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__",
+        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw),
+    )
+    cli.build_parser.cache_clear()
+    assert run(capsys, "props", odo_path)[0] == 0
+    once = len(built)
+    assert once == 19  # the top-level parser, the shared options and 17 subcommands
+    assert run(capsys, "components", odo_path, "-k", "2")[0] == 0
+    assert run(capsys, "level-group", odo_path, "-k", "3")[0] == 0
+    assert len(built) == once
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = pathlib.Path(mf.__file__).resolve().parent.parent
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = "
+        "lambda self, *a, **kw: built.append(1) or init(self, *a, **kw)\n"
+        "import mealyforge.cli\n"
+        "print(len(built))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.stdout == "0\n"
